@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use nascent_analysis::context::{Invalidation, PassContext};
 use nascent_analysis::dataflow::solve;
 use nascent_analysis::dom::Dominators;
-use nascent_analysis::loops::{LoopForest, LoopId, LoopInfo};
+use nascent_analysis::loops::LoopInfo;
 use nascent_analysis::reach::UniqueDefs;
 use nascent_ir::{BlockId, Check, CheckExpr, Function, LinForm, Stmt, VarId};
 
@@ -73,9 +73,12 @@ pub fn hoist_ctx(
     ctx.ensure_preheaders(f);
     let dom = ctx.dominators(f);
     let forest = ctx.loop_forest(f);
+    // one check universe serves every loop of the pass (see `hoist_loop`)
+    let mut universe = None;
     let mut hoisted = 0;
     for l in forest.inner_to_outer() {
-        hoisted += hoist_loop(f, ctx, &dom, &forest, l, kind, log);
+        let info = forest.loop_info(l);
+        hoisted += hoist_loop(f, ctx, &mut universe, &dom, info, kind, log);
     }
     hoisted
 }
@@ -142,16 +145,25 @@ fn normalize_check(
     CheckExpr::new(form, ce.bound())
 }
 
+/// Hoists the checks of loop `info`. `universe` is the pass's check
+/// universe, built on first use and kept across loops: hoisting reads
+/// anticipatability only for checks that occur in the loop, and since
+/// anticipatability generates within a family only, those bits depend
+/// only on same-family checks and on kills, never on which other checks
+/// the universe holds. A universe built before the first loop therefore
+/// gives every later loop the same bits a fresh one would, as long as it
+/// holds every unconditional check of the function; so it is dropped
+/// (and rebuilt by the next loop) only when this loop inserts an
+/// unconditional check it lacks.
 fn hoist_loop(
     f: &mut Function,
     ctx: &mut PassContext,
+    universe: &mut Option<Universe>,
     dom: &Dominators,
-    forest: &LoopForest,
-    l: LoopId,
+    info: &LoopInfo,
     kind: HoistKind,
     log: &mut JustLog,
 ) -> usize {
-    let info = forest.loop_info(l).clone();
     let Some(preheader) = info.preheader else {
         return 0;
     };
@@ -160,8 +172,8 @@ fn hoist_loop(
     };
 
     // ---- candidates: unconditional checks anticipatable at body entry ----
-    let u = Universe::build_ctx(f, ImplicationMode::All, ctx);
-    let antic = solve(f, &Antic::new(f, &u));
+    let u = universe.get_or_insert_with(|| Universe::build_ctx(f, ImplicationMode::All, ctx));
+    let antic = solve(f, &Antic::new(f, u));
     let at_body = &antic.entry[body_entry.index()];
 
     // hoisting is only profitable for checks that actually occur inside
@@ -174,7 +186,9 @@ fn hoist_loop(
         for s in &f.block(b).stmts {
             if let Stmt::Check(c) = s {
                 if c.is_unconditional() {
-                    if let Some(id) = u.id(&c.cond) {
+                    let id = u.id(&c.cond);
+                    debug_assert!(id.is_some(), "`{}` missing from the universe", c.cond);
+                    if let Some(id) = id {
                         occurs_in_loop.insert(id);
                     }
                 }
@@ -201,7 +215,7 @@ fn hoist_loop(
         let (hoisted_expr, linear) = if info.is_invariant(cond.form()) {
             (cond.clone(), false)
         } else if kind == HoistKind::InvariantAndLinear {
-            match substitute_limit(&info, cond) {
+            match substitute_limit(info, cond) {
                 Some(h) => (h, true),
                 None => continue,
             }
@@ -244,10 +258,12 @@ fn hoist_loop(
     };
 
     let mut count = 0;
+    let mut universe_stale = false;
     if let Some(guards) = guard_list {
         let mut ordered: Vec<&Candidate> = cands.values().collect();
         ordered.sort_by(|a, b| (&a.family, a.bound).cmp(&(&b.family, b.bound)));
         for c in &ordered {
+            universe_stale |= guards.is_empty() && u.id(&c.hoisted).is_none();
             log.push(Event::Hoisted {
                 preheader,
                 guards: guards.clone(),
@@ -300,9 +316,12 @@ fn hoist_loop(
         // positions shifted under the cached unique-defs/SSA results
         ctx.invalidate(Invalidation::Statements);
     }
+    if universe_stale {
+        *universe = None;
+    }
 
     // ---- structural re-hoist of guarded checks from dominated blocks ----
-    let moved = rehoist_guarded(f, ctx, dom, &info, preheader, &guard, log);
+    let moved = rehoist_guarded(f, ctx, dom, info, preheader, &guard, log);
     if moved > 0 {
         ctx.invalidate(Invalidation::Statements);
     }
