@@ -571,7 +571,7 @@ impl Vra {
 /// Number of fact changes at one block before widening kicks in.
 const WIDEN_AFTER: u32 = 2;
 
-/// Hard iteration backstop; on overrun every remaining fact degrades to
+/// Hard iteration backstop; on overrun every block's fact degrades to
 /// top, which is sound (verdicts just become "unknown" more often).
 fn iteration_cap(f: &Function) -> u32 {
     (f.blocks.len() as u32 + 8) * 16
@@ -693,12 +693,10 @@ fn fixpoint(
 
     while let Some(bi) = work.pop() {
         if budget == 0 {
-            // backstop: degrade every reachable block to top and stop
-            for e in entry.iter_mut() {
-                if !e.bottom {
-                    *e = Env::top();
-                }
-            }
+            // backstop: degrade every block to top and stop. A block the
+            // worklist has not reached yet still holds the initial
+            // `unreachable` state, which would prove every check in it
+            entry.fill(Env::top());
             break;
         }
         budget -= 1;

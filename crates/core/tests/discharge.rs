@@ -6,6 +6,7 @@
 //! discharge-hostile generator has none, the friendly generator is fully
 //! provable, and the tier is inert when switched off.
 
+use nascent_interp::{run, Limits};
 use nascent_rangecheck::{optimize_program, Discharge, OptimizeOptions, Scheme};
 use nascent_suite::{discharge_friendly, discharge_hostile, suite, Scale};
 
@@ -98,4 +99,39 @@ fn friendly_generator_discharges_every_check() {
             "friendly seed {seed}: some in-bounds check was not proved"
         );
     }
+}
+
+/// `loops` in-bounds loops over `a(1:40)`, then one whose store
+/// `a(i + n - 1)` runs one element past the end.
+fn loops_then_overrun(loops: usize) -> String {
+    let mut src =
+        String::from("program capped\n integer a(1:40)\n integer i, m, n\n m = 40\n n = 2\n");
+    for _ in 0..loops {
+        src.push_str(" do i = 1, m\n  a(i) = i\n enddo\n");
+    }
+    src.push_str(" do i = 1, m\n  a(i + n - 1) = i\n enddo\nend\n");
+    src
+}
+
+/// From about 30 sequential loops the value-range fixpoint runs out of
+/// iterations. The blocks it has not reached by then are unexplored, not
+/// unreachable: the tier must keep their checks, including the one that
+/// catches the overrun in the last loop.
+#[test]
+fn iteration_cap_keeps_checks_the_fixpoint_never_reached() {
+    let naive = compile(&loops_then_overrun(32));
+    let expected = run(&naive, &Limits::default())
+        .expect("naive run")
+        .trap
+        .expect("the naive program traps");
+    let mut opt = naive.clone();
+    optimize_program(
+        &mut opt,
+        &OptimizeOptions::scheme(Scheme::Ni).with_discharge(Discharge::On),
+    );
+    let got = run(&opt, &Limits::default())
+        .expect("the optimized run detects the overrun")
+        .trap
+        .expect("the optimized program traps");
+    assert!(got.at_progress <= expected.at_progress);
 }
