@@ -18,8 +18,9 @@
 //!   reproducing the paper's Figure 2,
 //! * [`vra`] — symbolic value-range analysis (intervals + symbolic
 //!   bounds + per-array range summaries) backing the static-discharge
-//!   tier; the certifier keeps its own independent twin in
-//!   `nascent-verify`.
+//!   tier. It is the only value-range analysis: the certifier in
+//!   `nascent-verify` runs it too, and checks each result as an inductive
+//!   invariant before using it.
 
 pub mod context;
 pub mod dataflow;

@@ -137,6 +137,38 @@ proptest! {
         prop_assert!(j.models(&b_map), "join dropped a right valuation");
     }
 
+    /// The lattice order is sound: when one state entails another, the
+    /// other still models every valuation the first does. It is reflexive,
+    /// and a state entails its join with any other.
+    #[test]
+    fn entails_keeps_modeled_valuations(
+        left in env_and_vals(),
+        right in env_and_vals(),
+        cs in coeffs(),
+        c0 in -20i64..20,
+        slack in 0i64..10,
+        joined in 0u8..2,
+    ) {
+        let (a_ivs, a_vals) = left;
+        let (b_ivs, b_vals) = right;
+        let (mut a, map) = build(&a_ivs, &a_vals);
+        let (mut b, _) = build(&b_ivs, &b_vals);
+        // the same fact, true for `map`, on both sides: symbolic bounds
+        let form = LinForm::from_expr(&linear_expr(&cs, c0));
+        if let Some(bound) = eval_form(&form, &map).and_then(|v| v.checked_add(slack)) {
+            a.assume_le(&form, bound);
+            b.assume_le(&form, bound);
+        }
+        if joined == 1 {
+            b = a.join(&b);
+            prop_assert!(a.entails(&b), "a state does not entail its join");
+        }
+        prop_assert!(a.entails(&a), "entails is not reflexive");
+        if a.entails(&b) {
+            prop_assert!(b.models(&map), "an entailed state dropped a valuation");
+        }
+    }
+
     /// Assuming a fact that is concretely true for the valuation must not
     /// exclude the valuation.
     #[test]

@@ -10,10 +10,11 @@
 //! per-array range summaries (the subscripted-subscript case).
 //!
 //! Every deletion is recorded as an [`Event::Discharged`] justification.
-//! The certifier re-proves each one with its *own independent*
-//! value-range analysis during `--certify`, so an unsound or tampered
-//! discharge is rejected by name — the pass is translation-validated,
-//! not trusted.
+//! During `--certify` the certifier runs the same analysis on the
+//! reference function, checks its result as an inductive invariant, and
+//! re-proves each event from the checked states, so an unsound fixpoint
+//! or a tampered discharge is rejected by name — the pass is
+//! translation-validated, not trusted.
 //!
 //! Only *unconditional* checks are discharged: a guarded `Cond-check`'s
 //! condition holds under its guards, which the per-point environment does

@@ -1,18 +1,20 @@
 //! Static safety certifier for the range-check optimizer.
 //!
-//! Two cooperating passes (see DESIGN.md §2 row 17):
+//! Two cooperating parts (see DESIGN.md §2 row 17):
 //!
-//! * [`vra`] — symbolic value-range analysis: an SSA-based interval
-//!   analysis over [`nascent_ir::LinForm`] bounds that proves a
-//!   canonical check `form <= bound` true, false, or unknown.
+//! * [`invariant`] — the checker for value-range invariants: the one
+//!   value-range analysis (`nascent_analysis::vra`) is run, and its
+//!   result is used only after this small checker has verified it is
+//!   inductive, so the fixpoint's widening and iteration cap are not
+//!   trusted.
 //! * [`validate`] — translation validation: independently re-checks the
 //!   justification log emitted by `nascent_rangecheck::optimize_function`
-//!   against the optimized CFG, using VRA plus a from-scratch
-//!   availability recomputation. Any uncovered obligation becomes a
-//!   structured [`Diagnostic`] naming the check, the location, and the
-//!   failed implication.
+//!   against the optimized CFG, using the checked value-range facts plus
+//!   a from-scratch availability recomputation. Any uncovered obligation
+//!   becomes a structured [`Diagnostic`] naming the check, the location,
+//!   and the failed implication.
 
-pub mod vra;
+pub mod invariant;
 
 mod validate;
 

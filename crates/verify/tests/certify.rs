@@ -1,16 +1,20 @@
 //! End-to-end certification tests: the verifier must accept every
 //! optimization run the pipeline produces on the benchmark suite, and
-//! must reject runs whose justifications have been tampered with.
+//! must reject runs whose justifications — or whose value-range
+//! invariants — have been tampered with.
 
+use nascent_analysis::context::PassContext;
+use nascent_analysis::vra::{analyze_with_forest, trip_facts, Env, Interval, Vra};
 use nascent_frontend::compile;
-use nascent_ir::Stmt;
-use nascent_obs::trace::{validate_nesting, ScopedCollector};
+use nascent_ir::{ArrayId, Function, Program, Stmt};
+use nascent_obs::trace::{validate_nesting, ScopedCollector, SpanRecord};
 use nascent_rangecheck::{
-    optimize_program_logged, CheckKind, Discharge, DischargeReason, Event, ImplicationMode,
+    inx, optimize_program_logged, CheckKind, Discharge, DischargeReason, Event, ImplicationMode,
     OptimizeOptions, Scheme,
 };
-use nascent_suite::test_suite;
-use nascent_verify::certify_program;
+use nascent_suite::{random_program, test_suite, GenConfig};
+use nascent_verify::invariant::{self, Proved};
+use nascent_verify::{certify_program, Diagnostic};
 
 /// One compile+optimize+certify round trip — the driver's glue, shared
 /// with `nascentc verify` and the `nascentd` `/certify` endpoint.
@@ -505,8 +509,39 @@ end
     );
 }
 
+/// Optimizes `naive` under `opts` and certifies the result under a trace
+/// collector, returning the spans.
+fn traced_certify(naive: &Program, opts: &OptimizeOptions) -> Vec<SpanRecord> {
+    let mut opt = naive.clone();
+    let (_, logs) = optimize_program_logged(&mut opt, opts);
+    let collector = ScopedCollector::begin();
+    let cert = certify_program(naive, &opt, &logs, opts);
+    let spans = collector.finish();
+    assert!(cert.ok(), "{cert}");
+    validate_nesting(&spans).expect("certifier spans nest");
+    spans
+}
+
+/// The `vra-opt` spans of a trace, each checked to lie inside a
+/// `direction-b` span: the optimized function's value-range facts are
+/// built only when direction B first needs one.
+fn vra_opt_spans(spans: &[SpanRecord]) -> usize {
+    let found: Vec<_> = spans.iter().filter(|s| s.name == "vra-opt").collect();
+    for s in &found {
+        assert!(
+            spans.iter().any(|d| d.name == "direction-b"
+                && d.depth + 1 == s.depth
+                && d.ts_ns <= s.ts_ns
+                && s.ts_ns + s.dur_ns <= d.ts_ns + d.dur_ns),
+            "`vra-opt` is a child of `direction-b`"
+        );
+    }
+    found.len()
+}
+
 /// A traced certification opens one span per certifier phase and
-/// function, each a direct child of the `certify` span.
+/// function, each a direct child of the `certify` span, except
+/// `vra-opt`: at most once per function, inside `direction-b`.
 #[test]
 fn certify_traces_each_phase_once_per_function() {
     let src = "program p
@@ -525,15 +560,8 @@ subroutine fill(m)
  enddo
 end
 ";
-    let opts = OptimizeOptions::scheme(Scheme::Lls);
     let naive = compile(src).unwrap();
-    let mut opt = naive.clone();
-    let (_, logs) = optimize_program_logged(&mut opt, &opts);
-    let collector = ScopedCollector::begin();
-    let cert = certify_program(&naive, &opt, &logs, &opts);
-    let spans = collector.finish();
-    assert!(cert.ok());
-    validate_nesting(&spans).expect("certifier spans nest");
+    let spans = traced_certify(&naive, &OptimizeOptions::scheme(Scheme::Lls));
 
     let root = spans
         .iter()
@@ -544,7 +572,6 @@ end
         "antic",
         "avail",
         "vra-ref",
-        "vra-opt",
         "align",
         "direction-a",
         "direction-b",
@@ -567,6 +594,27 @@ end
             );
         }
     }
+    assert!(vra_opt_spans(&spans) <= naive.functions.len());
+}
+
+/// An unconditional `TRAP` needs the optimized function's value-range
+/// facts (is it unreachable?), so a run with a folded-false hoist opens
+/// `vra-opt` exactly once, inside `direction-b`.
+#[test]
+fn certify_builds_optimized_value_ranges_for_a_trap() {
+    let naive = compile(
+        "program bad
+ integer a(1:5)
+ integer i
+ do i = 1, 9
+  a(i) = i
+ enddo
+end
+",
+    )
+    .unwrap();
+    let spans = traced_certify(&naive, &OptimizeOptions::scheme(Scheme::Lls));
+    assert_eq!(vra_opt_spans(&spans), 1);
 }
 
 /// `loops` in-bounds loops over `a(1:40)`, then one whose store
@@ -681,37 +729,187 @@ fn accepts_constant_true_hoisted_conditions() {
     }
 }
 
-/// Equality-of-strength guard: the optimizer-side and trusted value-range
-/// analyses are independent implementations kept in lockstep — on every
-/// unconditional check of the suite they must return the same verdict,
-/// otherwise a discharge could certify on one side and fail on the other.
+/// Runs the value-range analysis on `f` and checks its result.
+fn check_vra(f: &Function) -> Result<Proved, Diagnostic> {
+    let forest = PassContext::new().loop_forest(f);
+    invariant::check(f, &analyze_with_forest(f, &forest), &trip_facts(&forest))
+}
+
+/// Asserts that the checker accepts the analysis result on every
+/// reference and optimized function of `naive` under `opts` (the
+/// reference with the shared INX rewrite, as the certifier sees it).
+fn assert_checker_accepts(name: &str, naive: &Program, opts: &OptimizeOptions) {
+    let mut opt = naive.clone();
+    optimize_program_logged(&mut opt, opts);
+    let mut reference = naive.clone();
+    if opts.kind == CheckKind::Inx {
+        for f in &mut reference.functions {
+            inx::rewrite_checks(f);
+        }
+    }
+    for f in reference.functions.iter().chain(&opt.functions) {
+        if let Err(d) = check_vra(f) {
+            panic!(
+                "{name} under {opts:?}: invariant of `{}` rejected: {d}",
+                f.name
+            );
+        }
+    }
+}
+
+/// The checker accepts every value-range result the analysis produces:
+/// on the suite under every scheme × kind × implication mode × discharge
+/// tier, and on generated programs.
 #[test]
-fn optimizer_and_trusted_vra_agree_on_the_suite() {
+fn checker_accepts_every_analysis_result() {
     for bench in &test_suite() {
-        let prog = compile(&bench.source).unwrap();
-        for f in &prog.functions {
-            let opt_vra = nascent_analysis::vra::analyze(f);
-            let ver_vra = nascent_verify::vra::analyze(f);
-            for b in f.block_ids() {
-                let mut ver_cur = ver_vra.cursor(f, b);
-                for (i, s) in f.block(b).stmts.iter().enumerate() {
-                    if let Stmt::Check(c) = s {
-                        if c.is_unconditional() {
-                            assert_eq!(
-                                opt_vra.at(f, b, i).verdict(&c.cond),
-                                ver_cur.at(i).verdict(&c.cond),
-                                "{}: verdicts diverge at b{}[{}] on `{}`",
-                                bench.name,
-                                b.index(),
-                                i,
-                                c.cond
-                            );
-                        }
+        let naive = compile(&bench.source).unwrap();
+        for scheme in Scheme::EACH {
+            for kind in [CheckKind::Prx, CheckKind::Inx] {
+                for implications in [
+                    ImplicationMode::All,
+                    ImplicationMode::CrossFamilyOnly,
+                    ImplicationMode::None,
+                ] {
+                    for discharge in [Discharge::Off, Discharge::On] {
+                        let opts = OptimizeOptions::scheme(scheme)
+                            .with_kind(kind)
+                            .with_implications(implications)
+                            .with_discharge(discharge);
+                        assert_checker_accepts(bench.name, &naive, &opts);
                     }
                 }
             }
         }
     }
+    for seed in 0..40 {
+        let naive = compile(&random_program(seed, &GenConfig::default())).unwrap();
+        for scheme in [Scheme::Ni, Scheme::Lls, Scheme::All] {
+            let opts = OptimizeOptions::scheme(scheme).with_discharge(Discharge::On);
+            assert_checker_accepts(&format!("seed {seed}"), &naive, &opts);
+        }
+    }
+}
+
+/// A loop filling a private map array, then a loop reading it.
+const MAP_PROGRAM: &str = "program p
+ integer map(1:10)
+ integer a(1:10)
+ integer i, j, t
+ do i = 1, 10
+  map(i) = i - 1
+ enddo
+ do j = 1, 10
+  t = map(j)
+  a(t + 1) = j
+ enddo
+end
+";
+
+/// The checker rejects invariants that are not inductive, naming the
+/// entry block, the edge or the array at fault.
+#[test]
+fn checker_rejects_perturbed_invariants_by_name() {
+    let f = compile(MAP_PROGRAM).unwrap().main_function().clone();
+    let forest = PassContext::new().loop_forest(&f);
+    let vra = analyze_with_forest(&f, &forest);
+    let trips = trip_facts(&forest);
+    assert!(invariant::check(&f, &vra, &trips).is_ok());
+    let reject = |perturb: &dyn Fn(&mut Vra)| {
+        let mut v = vra.clone();
+        perturb(&mut v);
+        invariant::check(&f, &v, &trips).expect_err("perturbed invariant accepted")
+    };
+    // the first loop fills `map`: its body entry and induction variable
+    let first = forest
+        .loops
+        .iter()
+        .min_by_key(|l| l.header.index())
+        .expect("a loop");
+    let body = first.body_entry.expect("a body entry").index();
+    let i = first.iv.as_ref().expect("an induction variable").var;
+    let into_body = format!("-> b{body} does not entail the entry state of b{body}");
+    let at_most = |hi| Interval {
+        lo: None,
+        hi: Some(hi),
+    };
+
+    // a reachable block made unreachable
+    assert!(!vra.entry[body].bottom);
+    let d = reject(&|v| v.entry[body] = Env::unreachable());
+    assert!(d.reason.contains(&into_body), "{d}");
+
+    // an interval tightened below what the loop-entry edge delivers
+    assert_eq!(vra.entry[body].interval(i).hi, Some(10));
+    let d = reject(&|v| v.entry[body].assume_interval(i, at_most(5)));
+    assert!(d.reason.contains(&into_body), "{d}");
+
+    // a load summary that excludes a stored value (map(10) = 9)
+    let map = (0..f.arrays.len())
+        .map(|a| ArrayId(a as u32))
+        .find(|a| f.arrays[a.index()].name == "map")
+        .unwrap();
+    let summary = Interval {
+        lo: Some(0),
+        hi: Some(9),
+    };
+    assert_eq!(vra.load_ranges.get(&map), Some(&summary));
+    let narrowed = Interval {
+        hi: Some(5),
+        ..summary
+    };
+    let d = reject(&|v| _ = v.load_ranges.insert(map, narrowed));
+    assert!(
+        d.reason
+            .contains("store into `map` leaves its load summary"),
+        "{d}"
+    );
+    let no_zero = Interval {
+        lo: Some(1),
+        ..summary
+    };
+    let d = reject(&|v| _ = v.load_ranges.insert(map, no_zero));
+    assert!(d.reason.contains("`map` excludes its initial 0"), "{d}");
+
+    // a non-top entry state
+    let d = reject(&|v| v.entry[f.entry.index()].assume_interval(i, at_most(0)));
+    assert_eq!(d.block, f.entry);
+    assert!(d.reason.contains("is not top"), "{d}");
+}
+
+/// Before the iteration-cap backstop was fixed, a capped fixpoint set the
+/// blocks it had reached to top and left the rest `unreachable`, which
+/// proves every check in them; on [`loops_then_overrun`] from about 30
+/// loops that included the overrunning last loop. The checker rejects
+/// those states at the edge into the first such block, and accepts what
+/// the analysis returns today (every state top: the cap was hit).
+#[test]
+fn checker_rejects_the_old_visited_only_backstop() {
+    let f = compile(&loops_then_overrun(32))
+        .unwrap()
+        .main_function()
+        .clone();
+    let forest = PassContext::new().loop_forest(&f);
+    let trips = trip_facts(&forest);
+    let vra = analyze_with_forest(&f, &forest);
+    assert!(vra.entry.iter().all(|e| *e == Env::top()), "the cap is hit");
+    assert!(invariant::check(&f, &vra, &trips).is_ok());
+
+    let last = forest
+        .loops
+        .iter()
+        .max_by_key(|l| l.header.index())
+        .expect("a loop");
+    let mut old = vra;
+    for b in &last.blocks {
+        old.entry[b.index()] = Env::unreachable();
+    }
+    let d = invariant::check(&f, &old, &trips).expect_err("old backstop states accepted");
+    assert!(
+        d.reason
+            .contains(&format!("-> b{} does not entail", last.header.index())),
+        "{d}"
+    );
 }
 
 /// The value-range analysis statically discharges checks on a meaningful
