@@ -139,6 +139,19 @@ fn malformed_requests_get_400_not_500() {
     )
     .unwrap();
     assert_eq!(status, 400);
+    // a 4 KB body nested 2 000 parentheses deep: a positioned compile
+    // error, not a stack overflow that takes the whole process down
+    let deep = format!(
+        "program p\n integer x\n x = {}1{}\nend\n",
+        "(".repeat(2_000),
+        ")".repeat(2_000)
+    );
+    let (status, body) =
+        request(&a, "POST", "/optimize", body_for(&deep, "LLS").as_bytes()).unwrap();
+    assert_eq!(status, 400);
+    assert!(String::from_utf8_lossy(&body).contains("line 3"));
+    let (status, _) = request(&a, "GET", "/healthz", b"").unwrap();
+    assert_eq!(status, 200);
     // wrong method / wrong path
     let (status, _) = request(&a, "GET", "/optimize", b"").unwrap();
     assert_eq!(status, 405);

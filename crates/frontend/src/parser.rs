@@ -4,13 +4,28 @@ use crate::ast::*;
 use crate::error::{CompileError, ErrorKind};
 use crate::lexer::{Tok, Token};
 
+/// Deepest nesting the parser accepts: of statement blocks (`do`,
+/// `while`, `if`), and separately of each expression (parentheses,
+/// argument lists, unary operators, and each operator of a chain, which
+/// deepens the tree by one). Every later pass walks blocks and
+/// expressions recursively, so this bounds their stack use too: a
+/// program nested exactly this deep in both compiles, optimizes,
+/// certifies and runs on a 2 MiB thread in a debug build.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a token stream into a [`SourceFile`].
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] on the first grammar violation.
+/// Returns a [`CompileError`] on the first grammar violation, or where
+/// nesting exceeds [`MAX_NESTING`].
 pub fn parse(tokens: &[Token]) -> Result<SourceFile, CompileError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        blocks: 0,
+        depth: 0,
+    };
     let mut units = Vec::new();
     p.skip_newlines();
     while !p.at_end() {
@@ -26,6 +41,10 @@ pub fn parse(tokens: &[Token]) -> Result<SourceFile, CompileError> {
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Statement blocks open around the current position.
+    blocks: usize,
+    /// Nesting depth inside the current expression.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -212,6 +231,28 @@ impl<'a> Parser<'a> {
         Ok(Decl { ty, items, line })
     }
 
+    /// Parses a nested statement block up to one of the stopper keywords.
+    fn block(&mut self, stoppers: &[&str]) -> Result<Vec<Stmt>, CompileError> {
+        if self.blocks == MAX_NESTING {
+            return Err(self.err(format!(
+                "statement blocks nested more than {MAX_NESTING} deep"
+            )));
+        }
+        self.blocks += 1;
+        let body = self.stmts(stoppers)?;
+        self.blocks -= 1;
+        Ok(body)
+    }
+
+    /// Enters one more level of expression nesting.
+    fn deeper(&mut self) -> Result<(), CompileError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("expression nested more than {MAX_NESTING} deep")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     /// Parses statements until one of the stopper keywords (not consumed).
     fn stmts(&mut self, stoppers: &[&str]) -> Result<Vec<Stmt>, CompileError> {
         let mut out = Vec::new();
@@ -242,7 +283,7 @@ impl<'a> Parser<'a> {
                 None
             };
             self.expect_newline()?;
-            let body = self.stmts(&["enddo"])?;
+            let body = self.block(&["enddo"])?;
             self.expect_kw("enddo")?;
             self.expect_newline()?;
             return Ok(Stmt::Do {
@@ -259,7 +300,7 @@ impl<'a> Parser<'a> {
             let cond = self.expr()?;
             self.expect(&Tok::RParen, "`)`")?;
             self.expect_newline()?;
-            let body = self.stmts(&["endwhile"])?;
+            let body = self.block(&["endwhile"])?;
             self.expect_kw("endwhile")?;
             self.expect_newline()?;
             return Ok(Stmt::While { cond, body, line });
@@ -270,10 +311,10 @@ impl<'a> Parser<'a> {
             self.expect(&Tok::RParen, "`)`")?;
             self.expect_kw("then")?;
             self.expect_newline()?;
-            let then_body = self.stmts(&["else", "endif"])?;
+            let then_body = self.block(&["else", "endif"])?;
             let else_body = if self.eat_kw("else") {
                 self.expect_newline()?;
-                self.stmts(&["endif"])?
+                self.block(&["endif"])?
             } else {
                 Vec::new()
             };
@@ -358,26 +399,38 @@ impl<'a> Parser<'a> {
     }
 
     fn or_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.and_expr()?;
-        while self.eat_kw("or") {
-            let r = self.and_expr()?;
-            e = Expr::bin(BinOp::Or, e, r);
-        }
-        Ok(e)
+        self.chain(Self::and_expr, |p| p.at_kw("or").then_some(BinOp::Or))
     }
 
     fn and_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.not_expr()?;
-        while self.eat_kw("and") {
-            let r = self.not_expr()?;
-            e = Expr::bin(BinOp::And, e, r);
+        self.chain(Self::not_expr, |p| p.at_kw("and").then_some(BinOp::And))
+    }
+
+    /// Parses `operand (op operand)*` left-associatively; `op` names the
+    /// operator at the current token, if any. Each operator nests the
+    /// tree one level deeper.
+    fn chain(
+        &mut self,
+        operand: impl Fn(&mut Self) -> Result<Expr, CompileError>,
+        op: impl Fn(&Self) -> Option<BinOp>,
+    ) -> Result<Expr, CompileError> {
+        let depth = self.depth;
+        let mut e = operand(self)?;
+        while let Some(op) = op(self) {
+            self.pos += 1;
+            self.deeper()?;
+            let r = operand(self)?;
+            e = Expr::bin(op, e, r);
         }
+        self.depth = depth;
         Ok(e)
     }
 
     fn not_expr(&mut self) -> Result<Expr, CompileError> {
         if self.eat_kw("not") {
+            self.deeper()?;
             let e = self.not_expr()?;
+            self.depth -= 1;
             return Ok(Expr::Un(UnOp::Not, Box::new(e)));
         }
         self.rel_expr()
@@ -400,37 +453,27 @@ impl<'a> Parser<'a> {
     }
 
     fn add_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
-                _ => return Ok(e),
-            };
-            self.pos += 1;
-            let r = self.mul_expr()?;
-            e = Expr::bin(op, e, r);
-        }
+        self.chain(Self::mul_expr, |p| match p.peek() {
+            Some(Tok::Plus) => Some(BinOp::Add),
+            Some(Tok::Minus) => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn mul_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Slash) => BinOp::Div,
-                _ => return Ok(e),
-            };
-            self.pos += 1;
-            let r = self.unary_expr()?;
-            e = Expr::bin(op, e, r);
-        }
+        self.chain(Self::unary_expr, |p| match p.peek() {
+            Some(Tok::Star) => Some(BinOp::Mul),
+            Some(Tok::Slash) => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
     fn unary_expr(&mut self) -> Result<Expr, CompileError> {
         if matches!(self.peek(), Some(Tok::Minus)) {
             self.pos += 1;
+            self.deeper()?;
             let e = self.unary_expr()?;
+            self.depth -= 1;
             return Ok(Expr::Un(UnOp::Neg, Box::new(e)));
         }
         self.primary()
@@ -448,7 +491,9 @@ impl<'a> Parser<'a> {
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
+                self.deeper()?;
                 let e = self.expr()?;
+                self.depth -= 1;
                 self.expect(&Tok::RParen, "`)`")?;
                 Ok(e)
             }
@@ -461,6 +506,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 if matches!(self.peek(), Some(Tok::LParen)) {
                     self.pos += 1;
+                    self.deeper()?;
                     let mut args = Vec::new();
                     if !matches!(self.peek(), Some(Tok::RParen)) {
                         loop {
@@ -471,6 +517,7 @@ impl<'a> Parser<'a> {
                             self.pos += 1;
                         }
                     }
+                    self.depth -= 1;
                     self.expect(&Tok::RParen, "`)`")?;
                     Ok(Expr::Elem(name, args))
                 } else if intrinsic {

@@ -73,6 +73,30 @@ fn malformed_programs_error_cleanly() {
     }
 }
 
+/// Nesting far past the parser's limit is a positioned error, not a stack
+/// overflow: 100 000 parentheses (the parser recursed once per level) and
+/// 50 000 nested `if` blocks.
+#[test]
+fn deep_nesting_errors_instead_of_overflowing() {
+    let n = 100_000;
+    let parens = format!(
+        "program p\n integer x\n x = {}1{}\nend\n",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let n = 50_000;
+    let ifs = format!(
+        "program p\n integer x\n x = 1\n{}{}end\n",
+        " if (x > 0) then\n".repeat(n),
+        " endif\n".repeat(n)
+    );
+    for src in [parens, ifs] {
+        let err = compile(&src).unwrap_err();
+        assert!(err.line >= 3, "error without the offending line: {err}");
+        assert!(err.message.contains("nested more than"), "{err}");
+    }
+}
+
 /// Error positions point at the offending line.
 #[test]
 fn error_lines_are_accurate() {
