@@ -1,15 +1,14 @@
 //! The native execution tier: a content-hash-keyed compile cache over
 //! the instrumented C back end.
 //!
-//! [`run_via_c`](crate::run_via_c) pays an emit + compile + exec for
-//! every call; across a 42-configuration × 10-program matrix most cells
-//! optimize to the *same* program text, so the compile (by far the
-//! dominant cost) is wasted work. [`NativeRunner`] keys compiled
-//! binaries by a double-FNV content hash of the emitted C — the same
-//! "exact content ⇒ exact reuse" discipline as the driver's fleet-wide
-//! result cache — and coalesces concurrent identical compiles: the
-//! first caller becomes the owner and runs the compiler, later callers
-//! block on the entry's condvar and share the owner's binary. Runtime
+//! Across a 42-configuration × 10-program matrix most cells optimize to
+//! the *same* program text, so compiling per run would repeat the
+//! dominant cost. [`NativeRunner`] keys compiled binaries by a
+//! double-FNV content hash of the emitted C — the same "exact content ⇒
+//! exact reuse" discipline as the driver's fleet-wide result cache — and
+//! coalesces concurrent identical compiles: the first caller becomes the
+//! owner and runs the compiler, later callers block on the entry's
+//! condvar and share the owner's binary. Runtime
 //! limits travel per *exec* (environment variables), not per binary, so
 //! one cached binary serves every limit setting.
 //!

@@ -2,15 +2,13 @@
 //!
 //! The compiler is `$CC` when set (falling back to `cc`); runs are
 //! bounded by a wall-clock timeout (`NASCENT_CBACK_TIMEOUT_MS`, default
-//! 60 s) and the scratch directory is removed on every path, error or
-//! not.
+//! 60 s). [`crate::native::NativeRunner`] owns the scratch directory the
+//! binaries live in.
 
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
-
-use nascent_ir::Program;
 
 /// A trap parsed from a `T <ins> <prg> <fn> <check>` protocol line —
 /// field-for-field what `nascent_interp::Trap` carries.
@@ -143,16 +141,6 @@ pub(crate) fn run_timeout() -> Duration {
         .unwrap_or(Duration::from_secs(60))
 }
 
-/// Scratch directory removed on drop — success, error, and panic paths
-/// all clean up.
-pub(crate) struct TempDir(pub PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// Writes `c_source` into `dir` as `<name>.c` and compiles it (with
 /// `-O2 -fwrapv`) to `dir/<name>`, returning the binary path.
 pub(crate) fn compile_c(c_source: &str, dir: &Path, name: &str) -> Result<PathBuf, CRunError> {
@@ -223,25 +211,6 @@ pub(crate) fn exec_binary(
         }),
         other => other,
     }
-}
-
-/// Emits, compiles (with `-O2 -fwrapv`) and runs `prog`, returning the
-/// parsed counters. The scratch directory is removed whether the run
-/// succeeds or fails. For repeated execution of the same program, use
-/// [`crate::native::NativeRunner`], which caches the compiled binary by
-/// content hash.
-///
-/// # Errors
-///
-/// See [`CRunError`]. Runtime errors (division by zero, undetected
-/// out-of-bounds, negative extents, limit exhaustion) surface as
-/// [`CRunError::Runtime`].
-pub fn run_via_c(prog: &Program, tag: &str) -> Result<CRunResult, CRunError> {
-    let dir =
-        TempDir(std::env::temp_dir().join(format!("nascent-cback-{}-{}", std::process::id(), tag)));
-    std::fs::create_dir_all(&dir.0)?;
-    let bin = compile_c(&crate::emit_c(prog), &dir.0, "prog")?;
-    exec_binary(&bin, &[], run_timeout())
 }
 
 fn bad(line: &str) -> CRunError {

@@ -1,8 +1,9 @@
 //! Three-way differential: the tree-walking interpreter, the
 //! register-bytecode VM, and the native tier (compiled instrumented C)
 //! must agree *bit for bit* — counters, outputs (reals by bit pattern),
-//! trap records, and error verdicts — on trap-seeded programs,
-//! discharge-on suite rows, and limit probes.
+//! trap records, and error verdicts — on programs covering each language
+//! feature, the suite, trap-seeded programs, discharge-on suite rows,
+//! and limit probes.
 //!
 //! Every test gates on a working C compiler and skips (with a named
 //! reason) when the host has none; the tree/VM half of the differential
@@ -27,6 +28,149 @@ fn skip() -> bool {
 
 fn three_way(label: &str, prog: &nascent_ir::Program, limits: &Limits) -> Option<RunResult> {
     compare_engines(label, prog, limits, &THREE).ok()
+}
+
+/// One program per language feature, each run naive and under the
+/// listed schemes.
+const FEATURE_PROGRAMS: [(&str, &str, &[Scheme]); 7] = [
+    (
+        "straight-line",
+        "program p\n integer a(1:10)\n integer i\n i = 3\n a(i) = i * 2\n print a(3)\nend\n",
+        &[],
+    ),
+    (
+        "loops and reals",
+        "program p
+ integer n, i
+ real x(1:40), s
+ n = 40
+ s = 0.0
+ do i = 1, n
+  x(i) = 1.0 * i / 3.0
+ enddo
+ do i = 1, n
+  s = s + x(i) * x(i)
+ enddo
+ print s
+end
+",
+        &[Scheme::Lls],
+    ),
+    (
+        "trap after output",
+        "program p
+ integer a(1:5)
+ integer i
+ print 7
+ do i = 1, 9
+  a(i) = i
+ enddo
+end
+",
+        &[Scheme::Lls, Scheme::Se],
+    ),
+    (
+        // zero-trip loop: the guard suppresses the hoisted check, and
+        // the guard op is counted identically
+        "guards",
+        "program p
+ integer a(1:10)
+ integer i, n, k
+ n = 0
+ k = 99
+ do i = 1, n
+  a(k) = i
+ enddo
+ print 1
+end
+",
+        &[Scheme::Lls],
+    ),
+    (
+        "daxpy: subroutine with symbolic bounds",
+        "subroutine daxpy(n, k, da, dx, dy)
+ integer n, k, i
+ real da
+ real dx(1:n), dy(1:n)
+ do i = k, n
+  dy(i) = dy(i) + da * dx(i)
+ enddo
+end
+program p
+ integer n, j
+ integer i
+ real a(1:30), b(1:30)
+ n = 30
+ do i = 1, n
+  a(i) = 1.0 * i
+  b(i) = 0.5 * i
+ enddo
+ do j = 1, 6
+  call daxpy(n, j, 0.25, a, b)
+ enddo
+ print b(1) + b(n)
+end
+",
+        &[Scheme::All],
+    ),
+    (
+        "intrinsics",
+        "program p
+ integer a(1:20)
+ integer i, j
+ do i = 1, 20
+  j = mod(i * 7, 20) + 1
+  a(j) = max(min(i, 15), 2)
+ enddo
+ print a(1) + a(20)
+end
+",
+        &[Scheme::All],
+    ),
+    (
+        "2-D arrays",
+        "program p
+ integer g(0:7, 3:9)
+ integer i, j, s
+ do i = 0, 7
+  do j = 3, 9
+   g(i, j) = i * 10 + j
+  enddo
+ enddo
+ s = 0
+ do i = 0, 7
+  s = s + g(i, 3) + g(i, 9)
+ enddo
+ print s
+end
+",
+        &[Scheme::Lls],
+    ),
+];
+
+#[test]
+fn feature_programs_and_the_suite_agree_across_three_engines() {
+    if skip() {
+        return;
+    }
+    let suite = suite(Scale::Small);
+    let programs = FEATURE_PROGRAMS.iter().copied().chain(
+        suite
+            .iter()
+            .map(|b| (b.name, b.source.as_str(), &[Scheme::Lls, Scheme::Ni][..])),
+    );
+    let limits = Limits::default();
+    for (name, src, schemes) in programs {
+        let naive = compile(src).expect("compiles");
+        for scheme in std::iter::once(None).chain(schemes.iter().copied().map(Some)) {
+            let mut prog = naive.clone();
+            if let Some(s) = scheme {
+                optimize_program(&mut prog, &OptimizeOptions::scheme(s));
+            }
+            compare_engines(&format!("{name} {scheme:?}"), &prog, &limits, &THREE)
+                .unwrap_or_else(|e| panic!("{name} {scheme:?}: {e}"));
+        }
+    }
 }
 
 #[test]
