@@ -7,7 +7,7 @@
 //! pays. `suite/*` runs all ten programs back to back.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nascent_bench::{harness_limits, prepare, PreparedBenchmark};
+use nascent_driver::harness::{harness_limits, prepare, PreparedBenchmark};
 use nascent_interp::{lower, run, run_compiled};
 use nascent_suite::{suite, Scale};
 

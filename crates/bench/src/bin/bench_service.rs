@@ -35,9 +35,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use nascent_bench::{full_matrix_configs, harness_limits, prepare, run_matrix, Config};
 use nascent_cback::cc_available;
 use nascent_driver::config::Mode;
+use nascent_driver::harness::{full_matrix_configs, harness_limits, prepare, run_matrix, Config};
 use nascent_driver::http::request;
 use nascent_driver::json::{obj, parse, Json};
 use nascent_driver::service::{start, ServiceConfig};
@@ -142,7 +142,7 @@ fn main() -> ExitCode {
     let slots: Vec<Mutex<Option<Job>>> = cells.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..nascent_bench::matrix_threads(cells.len()) {
+        for _ in 0..nascent_driver::harness::matrix_threads(cells.len()) {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&(ci, bi, mode)) = cells.get(i) else {

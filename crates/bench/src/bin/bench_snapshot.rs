@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use nascent_bench::{harness_limits, prepare, run_matrix, table2_configs, Config};
+use nascent_driver::harness::{harness_limits, prepare, run_matrix, table2_configs, Config};
 use nascent_interp::{run, run_compiled};
 use nascent_rangecheck::CheckKind;
 use nascent_suite::{suite, Scale};

@@ -18,7 +18,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use nascent_bench::{evaluate_prepared, format_table, prepare};
+use nascent_bench::format_table;
+use nascent_driver::harness::{evaluate_prepared, prepare};
 use nascent_frontend::compile;
 use nascent_rangecheck::{optimize_program, CheckKind, OptimizeOptions, Scheme};
 use nascent_suite::{suite, Scale};

@@ -26,12 +26,12 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use nascent_bench::{
+use nascent_cback::cc_available;
+use nascent_cback::native::{global, global_stats, NativeCacheStats};
+use nascent_driver::harness::{
     compare_engines, full_matrix_configs, harness_limits, matrix_threads, prepare,
     PreparedBenchmark,
 };
-use nascent_cback::cc_available;
-use nascent_cback::native::{global, global_stats, NativeCacheStats};
 use nascent_interp::{run_compiled, Engine};
 use nascent_ir::Program;
 use nascent_suite::{suite, Scale};

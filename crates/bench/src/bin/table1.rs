@@ -8,10 +8,11 @@
 //!
 //! Run with `cargo run --release -p nascent-bench --bin table1`.
 //! Pass `--small` for the test-scale suite. Each benchmark is compiled
-//! and its naive baseline run once ([`nascent_bench::prepare`]); the
+//! and its naive baseline run once ([`nascent_driver::harness::prepare`]); the
 //! measurement and certification both reuse that baseline.
 
-use nascent_bench::{certify_prepared, format_table, measure_prepared, prepare};
+use nascent_bench::{format_table, measure_prepared};
+use nascent_driver::harness::{certify_prepared, prepare};
 use nascent_rangecheck::{OptimizeOptions, Scheme};
 use nascent_suite::{suite, Scale};
 

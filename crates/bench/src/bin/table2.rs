@@ -16,13 +16,13 @@
 //!
 //! Each benchmark is compiled and its naive baseline run exactly once;
 //! the configuration × program matrix is then fanned out across worker
-//! threads ([`nascent_bench::run_matrix`]).
+//! threads ([`nascent_driver::harness::run_matrix`]).
 
 use std::time::Duration;
 
-use nascent_bench::{
-    certify_prepared, format_table, full_matrix_configs, prepare, run_matrix, table2_configs,
-    Config,
+use nascent_bench::format_table;
+use nascent_driver::harness::{
+    certify_prepared, full_matrix_configs, prepare, run_matrix, table2_configs, Config,
 };
 use nascent_rangecheck::{CheckKind, Discharge, OptimizeOptions, Scheme};
 use nascent_suite::{suite, Scale};

@@ -10,7 +10,8 @@
 
 use std::time::Duration;
 
-use nascent_bench::{format_table, prepare, run_matrix, table3_configs, Config};
+use nascent_bench::format_table;
+use nascent_driver::harness::{prepare, run_matrix, table3_configs, Config};
 use nascent_rangecheck::CheckKind;
 use nascent_suite::{suite, Scale};
 

@@ -13,23 +13,17 @@
 //! The harness machinery itself (prepared baselines, per-configuration
 //! evaluation, certification, the parallel configuration × program
 //! matrix) lives in [`nascent_driver::harness`] — the same pipeline
-//! layer that serves the `nascentc` CLI and the `nascentd` service —
-//! and is re-exported here unchanged. This crate only keeps what is
+//! layer that serves the `nascentc` CLI and the `nascentd` service — and
+//! the binaries import it from there. This crate only keeps what is
 //! specific to reproducing the paper's tables: the Table 1 metrics and
 //! the text-table formatter.
 
+use nascent_driver::harness::{
+    harness_limits, prepare, static_instruction_count, PreparedBenchmark,
+};
 use nascent_frontend::{compile_with, CheckInsertion};
 use nascent_interp::{lower, run_compiled};
 use nascent_ir::{Program, Stmt};
-
-// The harness proper: one copy, in the driver layer.
-pub use nascent_driver::harness::{
-    certify_benchmark, certify_prepared, compare_engines, evaluate, evaluate_prepared,
-    evaluate_prepared_with, full_matrix_configs, harness_limits, loop_count, matrix_threads,
-    naive_run, prepare, results_bit_identical, run_matrix, run_matrix_with,
-    static_instruction_count, table2_configs, table3_configs, Config, MatrixCell, MatrixReport,
-    PreparedBenchmark, SchemeResult,
-};
 
 /// Static and dynamic characteristics of one benchmark (Table 1 row).
 #[derive(Debug, Clone)]
@@ -140,6 +134,9 @@ pub fn conditional_check_count(p: &Program) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nascent_driver::harness::{
+        evaluate, evaluate_prepared, naive_run, run_matrix, table2_configs, table3_configs, Config,
+    };
     use nascent_rangecheck::{CheckKind, OptimizeOptions, Scheme};
     use nascent_suite::{suite, Scale};
 
