@@ -2,9 +2,6 @@
 //! every `assume_*`/`step`/`join` operation must keep concretely-true
 //! valuations inside the abstract state, `verdict` must agree with
 //! concrete arithmetic, and nothing may panic near the `i64` extremes.
-#![cfg(feature = "proptest-tests")]
-// Entire file is property-based; gated so `--no-default-features`
-// builds without the vendored proptest shim.
 
 use std::collections::HashMap;
 

@@ -22,14 +22,9 @@
 //! diverges from the CLI path, or the service rejected anything
 //! (`503`) — the queue is sized so backpressure must never fire here.
 //!
-//! Emits a `BENCH_8.json` snapshot: the engine numbers of the
-//! `bench_snapshot` format plus a `service` section (throughput,
-//! latency percentiles, cache hit rate).
-//!
-//! Usage: `bench_service [--addr HOST:PORT] [--clients N] [out.json]`
-//! (default: in-process server, 64 clients, `BENCH_8.json`).
+//! Usage: `bench_service [--addr HOST:PORT] [--clients N]` (default:
+//! in-process server, 64 clients).
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -37,25 +32,14 @@ use std::time::Instant;
 
 use nascent_cback::cc_available;
 use nascent_driver::config::Mode;
-use nascent_driver::harness::{full_matrix_configs, harness_limits, prepare, run_matrix, Config};
+use nascent_driver::harness::{full_matrix_configs, harness_limits, Config};
 use nascent_driver::http::request;
 use nascent_driver::json::{obj, parse, Json};
 use nascent_driver::service::{start, ServiceConfig};
 use nascent_driver::{compute, Request, RunConfig};
-use nascent_interp::{run, run_compiled, Engine};
+use nascent_interp::Engine;
 use nascent_rangecheck::{CheckKind, ImplicationMode, Scheme};
 use nascent_suite::{suite, Scale};
-
-/// Best-of-N wall time of `f`, in nanoseconds.
-fn best_ns<F: FnMut()>(mut f: F) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..3 {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_nanos());
-    }
-    best
-}
 
 /// One service request to issue and check: the wire body plus the
 /// locally computed reference bytes it must match.
@@ -101,7 +85,6 @@ fn body_json(source: &str, cfg: &Config, engine: Option<Engine>) -> String {
 fn main() -> ExitCode {
     let mut addr_arg: Option<String> = None;
     let mut clients = 64usize;
-    let mut out_path = "BENCH_8.json".to_string();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -117,7 +100,13 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .expect("--clients needs a number");
             }
-            other => out_path = other.to_string(),
+            other => {
+                eprintln!(
+                    "bench_service: unknown argument `{other}` \
+                     (usage: bench_service [--addr HOST:PORT] [--clients N])"
+                );
+                return ExitCode::FAILURE;
+            }
         }
         i += 1;
     }
@@ -245,12 +234,11 @@ fn main() -> ExitCode {
             secs,
             pool.len() as f64 / secs.max(1e-9)
         );
-        (pool.len(), secs)
     };
     let all: Vec<&Job> = jobs.iter().collect();
     let certify: Vec<&Job> = jobs.iter().filter(|j| j.path == "/certify").collect();
-    let (count_a, secs_a) = drive("A (all misses)", &all);
-    let (count_b, secs_b) = drive("B (all hits)", &certify);
+    drive("A (all misses)", &all);
+    drive("B (all hits)", &certify);
 
     // ---- round C: mixed engines, exercising the service's native tier ----
     // One configuration, every program, both modes, under `engine: vm`
@@ -310,12 +298,10 @@ fn main() -> ExitCode {
         );
         Vec::new()
     };
-    let (count_c, secs_c) = if native_jobs.is_empty() {
-        (0, 0.0)
-    } else {
+    if !native_jobs.is_empty() {
         let pool: Vec<&Job> = native_jobs.iter().collect();
-        drive("C (mixed engines)", &pool)
-    };
+        drive("C (mixed engines)", &pool);
+    }
 
     // ---- request ids: present in every response, unique across clients ----
     let missing_ids = missing_ids.load(Ordering::Relaxed);
@@ -377,7 +363,7 @@ fn main() -> ExitCode {
         native_hit_rate >= 0.0,
         "/metrics is missing the native_cache section"
     );
-    if count_c > 0 {
+    if !native_jobs.is_empty() {
         assert!(
             int_at("native_cache", "compiles") > 0,
             "mixed-engine round ran but the native compile cache reports no compiles"
@@ -388,8 +374,6 @@ fn main() -> ExitCode {
              compile-cache hit rate"
         );
     }
-    let total = (count_a + count_b + count_c) as f64;
-    let throughput = total / (secs_a + secs_b + secs_c).max(1e-9);
 
     let divergences = divergences.load(Ordering::Relaxed);
     let non_200 = non_200.load(Ordering::Relaxed);
@@ -400,69 +384,6 @@ fn main() -> ExitCode {
         num_at("latency_ms", "p50"),
         num_at("latency_ms", "p99"),
     );
-
-    // ---- the BENCH_8.json snapshot: engine numbers + service section ----
-    let prepared: Vec<_> = benches.iter().map(prepare).collect();
-    let mut programs = String::new();
-    for (i, pb) in prepared.iter().enumerate() {
-        let steps = pb.naive.dynamic_instructions + pb.naive.dynamic_checks;
-        let tree_ns = best_ns(|| {
-            run(&pb.checked, &limits).expect("runs");
-        });
-        let vm_ns = best_ns(|| {
-            run_compiled(&pb.lowered, &limits).expect("runs");
-        });
-        let per = |ns: u128| ns as f64 / steps.max(1) as f64;
-        if i > 0 {
-            programs.push_str(",\n");
-        }
-        write!(
-            programs,
-            "    {{\"name\": \"{}\", \"steps\": {}, \"dynamic_checks\": {}, \
-             \"tree_ns\": {}, \"vm_ns\": {}, \
-             \"tree_ns_per_step\": {:.2}, \"vm_ns_per_step\": {:.2}, \
-             \"speedup\": {:.2}}}",
-            pb.bench.name,
-            steps,
-            pb.naive.dynamic_checks,
-            tree_ns,
-            vm_ns,
-            per(tree_ns),
-            per(vm_ns),
-            tree_ns as f64 / vm_ns.max(1) as f64,
-        )
-        .expect("write");
-    }
-    let report = run_matrix(&prepared, &configs, false);
-
-    let json = format!(
-        "{{\n  \"format\": \"bench-snapshot\",\n  \"pr\": 8,\n  \"suite_scale\": \"small\",\n  \
-         \"programs\": [\n{programs}\n  ],\n  \
-         \"matrix\": {{\"cells\": {}, \"threads\": {}, \"wall_ms\": {:.3}, \
-         \"serial_ms\": {:.3}, \"speedup\": {:.2}}},\n  \
-         \"service\": {{\"clients\": {clients}, \"requests\": {}, \
-         \"non_200\": {non_200}, \"divergences\": {divergences}, \"rejected\": {rejected}, \
-         \"throughput_rps\": {throughput:.1}, \
-         \"round_a_rps\": {:.1}, \"round_b_rps\": {:.1}, \
-         \"cache_hit_rate\": {hit_rate:.4}, \
-         \"mixed_engine_requests\": {count_c}, \
-         \"native_cache_hit_rate\": {native_hit_rate:.4}, \
-         \"latency_ms\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}}}}}\n}}\n",
-        report.cells.len(),
-        report.threads,
-        report.wall_time.as_secs_f64() * 1e3,
-        report.serial_time.as_secs_f64() * 1e3,
-        report.speedup(),
-        count_a + count_b + count_c,
-        count_a as f64 / secs_a.max(1e-9),
-        count_b as f64 / secs_b.max(1e-9),
-        num_at("latency_ms", "p50"),
-        num_at("latency_ms", "p90"),
-        num_at("latency_ms", "p99"),
-    );
-    std::fs::write(&out_path, &json).expect("write snapshot");
-    eprintln!("wrote {out_path}");
-    print!("{json}");
 
     if let Some(server) = in_process {
         server.stop();

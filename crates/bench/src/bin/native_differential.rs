@@ -1,4 +1,4 @@
-//! Three-way engine differential + `BENCH_10.json` snapshot.
+//! Three-way engine differential.
 //!
 //! Drives the full 42-configuration × 10-program matrix through all
 //! three execution engines — tree-walker, register-bytecode VM, and the
@@ -8,26 +8,23 @@
 //! the offending cell's label, so a zero exit *is* the 0-divergences
 //! assertion.
 //!
-//! Then it measures what the native tier buys:
+//! Then it checks what the native tier buys:
 //!
 //! * a second full native round over the same matrix, whose compile-cache
 //!   hit rate (per-round delta, not cumulative) must be ≥ 90%,
-//! * per-program ns/step on the VM vs the native binary's in-process
+//! * the aggregate steps/sec of the native binary's in-process
 //!   self-timing (`NASCENT_CBACK_REPEAT` amortizes spawn + protocol
-//!   overhead), and the aggregate steps/sec speedup, which must be ≥ 10×.
+//!   overhead) against the VM over the naive suite, which must be ≥ 10×.
 //!
-//! Skips gracefully (exit 0, stub snapshot) when the host has no C
-//! compiler.
+//! Skips with a named reason (exit 0) when the host has no C compiler.
 //!
-//! Usage: `cargo run --release -p nascent-bench --bin native_differential
-//! [out.json]` (default `BENCH_10.json`).
+//! Usage: `cargo run --release -p nascent-bench --bin native_differential`.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use nascent_cback::cc_available;
-use nascent_cback::native::{global, global_stats, NativeCacheStats};
+use nascent_cback::native::{global, global_stats};
 use nascent_driver::harness::{
     compare_engines, full_matrix_configs, harness_limits, matrix_threads, prepare,
     PreparedBenchmark,
@@ -57,27 +54,9 @@ fn best_ns<F: FnMut()>(mut f: F) -> u128 {
     best
 }
 
-fn cache_json(label: &str, s: &NativeCacheStats) -> String {
-    format!(
-        "\"{label}\": {{\"hits\": {}, \"compiles\": {}, \"coalesced\": {}, \
-         \"hit_rate\": {:.4}}}",
-        s.hits,
-        s.compiles,
-        s.coalesced,
-        s.hit_rate()
-    )
-}
-
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_10.json".to_string());
     if !cc_available() {
-        let stub = "{\n  \"format\": \"bench-snapshot\",\n  \"pr\": 10,\n  \
-                    \"skipped\": \"no C compiler for the native tier ($CC / cc)\"\n}\n";
-        std::fs::write(&out_path, stub).expect("write snapshot");
         eprintln!("native_differential: skipping: no C compiler for the native tier ($CC / cc)");
-        eprintln!("wrote {out_path} (skip stub)");
         return;
     }
 
@@ -161,12 +140,11 @@ fn main() {
         round2.hit_rate()
     );
 
-    // ---- per-program perf: VM wall time vs native in-binary self-timing ----
-    let mut programs = String::new();
+    // ---- perf: VM wall time vs native in-binary self-timing ----
     let mut vm_total_ns = 0f64;
     let mut native_total_ns = 0f64;
     let mut total_steps = 0u64;
-    for (i, pb) in prepared.iter().enumerate() {
+    for pb in &prepared {
         let steps = pb.naive.dynamic_instructions + pb.naive.dynamic_checks;
         let vm_ns = best_ns(|| {
             run_compiled(&pb.lowered, &limits).expect("runs");
@@ -190,26 +168,6 @@ fn main() {
         vm_total_ns += vm_ns;
         native_total_ns += native_ns;
         total_steps += steps;
-        let per = |ns: f64| ns / steps.max(1) as f64;
-        if i > 0 {
-            programs.push_str(",\n");
-        }
-        write!(
-            programs,
-            "    {{\"name\": \"{}\", \"steps\": {}, \"dynamic_checks\": {}, \
-             \"vm_ns\": {:.0}, \"native_ns\": {:.0}, \
-             \"vm_ns_per_step\": {:.2}, \"native_ns_per_step\": {:.3}, \
-             \"speedup_vs_vm\": {:.1}}}",
-            pb.bench.name,
-            steps,
-            pb.naive.dynamic_checks,
-            vm_ns,
-            native_ns,
-            per(vm_ns),
-            per(native_ns),
-            vm_ns / native_ns.max(1.0),
-        )
-        .expect("write");
     }
     let aggregate_speedup = vm_total_ns / native_total_ns.max(1.0);
     eprintln!(
@@ -218,33 +176,8 @@ fn main() {
         vm_total_ns / total_steps.max(1) as f64,
         native_total_ns / total_steps.max(1) as f64,
     );
-    if std::env::var("NASCENT_BENCH_NO_SPEEDUP_ASSERT").is_err() {
-        assert!(
-            aggregate_speedup >= 10.0,
-            "native tier is only {aggregate_speedup:.1}x the VM (need >= 10x)"
-        );
-    }
-
-    let total = global_stats();
-    let json = format!(
-        "{{\n  \"format\": \"bench-snapshot\",\n  \"pr\": 10,\n  \"suite_scale\": \"small\",\n  \
-         \"programs\": [\n{programs}\n  ],\n  \
-         \"differential\": {{\"configs\": {}, \"programs\": {}, \"cells\": {}, \
-         \"engines\": [\"tree\", \"vm\", \"native\"], \"divergences\": 0, \
-         \"threads\": {threads}, \"round1_wall_ms\": {:.1}, \"round2_wall_ms\": {:.1}}},\n  \
-         \"native\": {{\"repeat\": {REPEAT}, \
-         \"aggregate_speedup_vs_vm\": {aggregate_speedup:.1}, \
-         \"compile_cache\": {{{}, {}, \"entries\": {}}}}}\n}}\n",
-        configs.len(),
-        prepared.len(),
-        cells.len(),
-        wall_r1.as_secs_f64() * 1e3,
-        wall_r2.as_secs_f64() * 1e3,
-        cache_json("round1", &round1),
-        cache_json("round2", &round2),
-        total.entries,
+    assert!(
+        aggregate_speedup >= 10.0,
+        "native tier is only {aggregate_speedup:.1}x the VM (need >= 10x)"
     );
-    std::fs::write(&out_path, &json).expect("write snapshot");
-    eprintln!("wrote {out_path}");
-    print!("{json}");
 }

@@ -7,8 +7,18 @@
 //! * `table2` — % checks eliminated per scheme × {PRX, INX} + compile time,
 //! * `table3` — the implication ablation (`NI'`, `SE'`, `LLS'`),
 //! * `figures` — the paper's worked examples, before/after,
+//! * `extensions` — experiments beyond the paper (the MCM baseline,
+//!   guard overhead, the INX ablation, compile-time scaling),
+//! * `dump_suite` — writes the suite's MiniF sources to a directory,
+//! * `native_differential` — the tree/VM/native differential over the
+//!   full matrix, with the compile-cache and native-speedup checks,
 //! * `bench_service` — drives a `nascentd` instance with concurrent
-//!   clients and checks byte-parity against the in-process pipeline.
+//!   clients and checks byte-parity against the in-process pipeline,
+//! * `obs_smoke` — checks a running `nascentd`'s traces and Prometheus
+//!   exposition.
+//!
+//! None of them is a benchmark: the repository's performance numbers
+//! come from `perfbench` (see `BENCHMARK.json`).
 //!
 //! The harness machinery itself (prepared baselines, per-configuration
 //! evaluation, certification, the parallel configuration × program

@@ -14,8 +14,8 @@
 //!
 //! [`global()`] is the process-wide instance every
 //! `Engine::Native` run goes through; [`stats()`](NativeRunner::stats)
-//! feeds the service's `/metrics` gauges and the `BENCH_10.json`
-//! hit-rate evidence.
+//! feeds the service's `/metrics` gauges and the `native_differential`
+//! binary's round-2 hit-rate check.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

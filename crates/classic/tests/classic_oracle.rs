@@ -1,9 +1,6 @@
 //! Safety oracle for the classical pass pipeline: on random programs,
 //! `optimize_classic` (alone and composed with the range-check
 //! optimizer) preserves output, trap verdict, and trap progress point.
-#![cfg(feature = "proptest-tests")]
-// Entire file is property-based; gated so `--no-default-features`
-// builds without the vendored proptest shim.
 
 use nascent_classic::optimize_classic;
 use nascent_frontend::compile;

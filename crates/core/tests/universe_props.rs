@@ -2,9 +2,6 @@
 //! implication relation must agree with arithmetic truth, be transitive
 //! under the `All` mode, and the elimination pass must be a
 //! dynamic-check-monotone, behavior-preserving transformation.
-#![cfg(feature = "proptest-tests")]
-// Entire file is property-based; gated so `--no-default-features`
-// builds without the vendored proptest shim.
 
 use nascent_frontend::compile;
 use nascent_rangecheck::{universe::Universe, ImplicationMode};

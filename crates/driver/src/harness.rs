@@ -1,8 +1,8 @@
 //! The experiment harness: prepared baselines, per-configuration
 //! evaluation, certification, and the parallel configuration × program
-//! matrix. Moved here from `crates/bench` (which now re-exports these as
-//! thin shims) so the table binaries, the service, and the tests all
-//! drive the *same* pipeline layer.
+//! matrix. The table binaries in `crates/bench`, the service, and the
+//! tests all import it from here, so they drive the *same* pipeline
+//! layer.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -145,15 +145,9 @@ fn evaluate_compiled(
     let r = run_with_engine(&prog, &limits, engine).unwrap_or_else(|e| {
         panic!("{name} under {opts:?}: {e}");
     });
-    assert!(
-        r.trap.is_none(),
-        "{name} under {opts:?}: optimizer introduced trap {:?}",
-        r.trap
-    );
-    assert_eq!(
-        r.output, naive.output,
-        "{name} under {opts:?}: output changed"
-    );
+    if let Err(e) = crate::validate_runs(naive, &r) {
+        panic!("{name} under {opts:?}: {e}");
+    }
     let pct = 100.0 * (1.0 - r.dynamic_checks as f64 / naive.dynamic_checks.max(1) as f64);
     SchemeResult {
         percent_eliminated: pct,
@@ -171,9 +165,10 @@ fn evaluate_compiled(
 ///
 /// # Panics
 ///
-/// Panics if the optimized program misbehaves (different output, trap
-/// introduced, later trap, undetected violation) — optimizer bugs must
-/// not produce table rows.
+/// Panics if the optimized run fails the validation [`crate::compute`]
+/// applies (changed output or non-check work, more dynamic checks, a
+/// trap introduced, lost or moved later) — optimizer bugs must not
+/// produce table rows.
 pub fn evaluate(b: &Benchmark, naive: &RunResult, opts: &OptimizeOptions) -> SchemeResult {
     let t0 = Instant::now();
     let prog = compile(&b.source).expect("benchmark compiles");

@@ -15,7 +15,7 @@
 //!   coalesce onto one computation,
 //! * [`harness`] — the experiment-matrix machinery (`prepare`,
 //!   `evaluate_prepared`, `run_matrix`, the table configurations) that
-//!   `crates/bench` now re-exports as thin shims,
+//!   the `crates/bench` binaries import,
 //! * [`service`] — the `nascentd` HTTP+JSON server: a bounded
 //!   work-stealing pool with semaphore backpressure and per-request
 //!   panic isolation serving `/optimize`, `/certify`, `/healthz`, and
@@ -384,7 +384,7 @@ fn render_trap(t: &nascent_interp::Trap) -> String {
 /// no trap when the naive run is trap-free; a no-later trap (by the
 /// statement-progress metric) with a consistent output prefix when the
 /// naive run traps.
-fn validate_runs(naive: &RunResult, opt: &RunResult) -> Result<(), PipelineError> {
+pub(crate) fn validate_runs(naive: &RunResult, opt: &RunResult) -> Result<(), PipelineError> {
     match (&naive.trap, &opt.trap) {
         (None, None) => {
             if opt.output != naive.output {

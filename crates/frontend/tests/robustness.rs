@@ -1,13 +1,9 @@
 //! Robustness: the frontend must never panic — any input either compiles
 //! or produces a positioned `CompileError`.
 
-use nascent_frontend::compile;
-#[cfg(feature = "proptest-tests")]
-use nascent_frontend::{lexer, parser};
-#[cfg(feature = "proptest-tests")]
+use nascent_frontend::{compile, lexer, parser};
 use proptest::prelude::*;
 
-#[cfg(feature = "proptest-tests")]
 proptest! {
     /// Arbitrary bytes never panic the lexer.
     #[test]

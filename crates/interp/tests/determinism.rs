@@ -1,8 +1,5 @@
 //! Interpreter invariants: determinism, counter consistency, and
 //! trap-point stability.
-#![cfg(feature = "proptest-tests")]
-// Entire file is property-based; gated so `--no-default-features`
-// builds without the vendored proptest shim.
 
 use nascent_frontend::{compile, compile_with, CheckInsertion};
 use nascent_interp::{run, Limits};

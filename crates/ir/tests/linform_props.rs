@@ -1,9 +1,6 @@
 //! Property-based tests for the canonical multilinear forms: [`LinForm`]
 //! arithmetic must be a homomorphic image of expression evaluation, and
 //! canonicalization must be stable.
-#![cfg(feature = "proptest-tests")]
-// Entire file is property-based; gated so `--no-default-features`
-// builds without the vendored proptest shim.
 
 use std::collections::HashMap;
 

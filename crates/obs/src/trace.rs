@@ -44,6 +44,10 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 /// Per-thread buffer flush threshold (spans).
 const FLUSH_AT: usize = 4096;
 
+/// The process trace epoch. Fixed before any recorder turns on
+/// ([`set_global_enabled`], [`ScopedCollector::begin`]), so every clock
+/// read a recorder sees is later than it and `now − epoch` never
+/// saturates.
 fn epoch() -> Instant {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -74,6 +78,9 @@ fn tid() -> u64 {
 
 /// Turns the process-wide recorder on or off.
 pub fn set_global_enabled(on: bool) {
+    if on {
+        epoch();
+    }
     GLOBAL_ON.store(on, Ordering::SeqCst);
 }
 
@@ -197,7 +204,9 @@ pub fn drain_global() -> Vec<SpanRecord> {
 #[derive(Debug)]
 pub struct Span {
     live: Option<LiveSpan>,
-    /// `Some` iff the span measures wall time even when not recording.
+    /// `Some` iff the span records or measures wall time. The recorded
+    /// start timestamp comes from this same clock read, so a parent
+    /// never ends before its child.
     timer: Option<Instant>,
 }
 
@@ -220,9 +229,10 @@ pub fn span(name: &'static str, cat: &'static str) -> Span {
             timer: None,
         };
     }
+    let start = Instant::now();
     Span {
-        live: Some(LiveSpan::open(name, cat)),
-        timer: Some(Instant::now()),
+        live: Some(LiveSpan::open(name, cat, start)),
+        timer: Some(start),
     }
 }
 
@@ -232,16 +242,19 @@ pub fn span(name: &'static str, cat: &'static str) -> Span {
 /// recorder is active.
 #[inline]
 pub fn timed_span(name: &'static str, cat: &'static str) -> Span {
-    let live = enabled().then(|| LiveSpan::open(name, cat));
+    // read the clock after the check: a recorder that is on has fixed
+    // the epoch, so `start` cannot precede it
+    let on = enabled();
+    let start = Instant::now();
     Span {
-        live,
-        timer: Some(Instant::now()),
+        live: on.then(|| LiveSpan::open(name, cat, start)),
+        timer: Some(start),
     }
 }
 
 impl LiveSpan {
-    fn open(name: &'static str, cat: &'static str) -> LiveSpan {
-        let ts_ns = epoch().elapsed().as_nanos() as u64;
+    fn open(name: &'static str, cat: &'static str, start: Instant) -> LiveSpan {
+        let ts_ns = start.duration_since(epoch()).as_nanos() as u64;
         let depth = DEPTH.with(|d| {
             let v = d.get();
             d.set(v + 1);
@@ -345,6 +358,7 @@ pub struct ScopedCollector {
 impl ScopedCollector {
     /// Starts collecting on this thread.
     pub fn begin() -> ScopedCollector {
+        epoch();
         let was_on = SCOPED_ON.with(|s| s.replace(true));
         if !was_on {
             SCOPED_BUF.with(|b| b.borrow_mut().clear());

@@ -2,8 +2,8 @@
 //! wall-vs-wall comparison: we count how many spans one full pipeline
 //! run emits, microbenchmark the per-span cost of the *disabled* fast
 //! path, and assert the product stays under 1% of the measured run
-//! wall time. `bench_snapshot` reports the complementary measured
-//! on-vs-off numbers in `BENCH_9.json`.
+//! wall time. The repository benchmark reports the complementary
+//! measured traced-vs-untraced cost as `obs.trace_overhead_pct`.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -6,7 +6,8 @@
 use nascent_driver::json::{parse, Json};
 use nascent_driver::{compute, harness, Mode, Request, RunConfig};
 use nascent_obs::trace::{
-    chrome_trace_json, current_request_id, set_request_id, validate_nesting, ScopedCollector,
+    chrome_trace_json, current_request_id, set_request_id, span, timed_span, validate_nesting,
+    ScopedCollector,
 };
 
 const PROGRAM: &str = "program obstrace
@@ -115,6 +116,34 @@ fn spans_nest_per_thread_under_concurrency() {
     validate_nesting(&all).expect("merged multi-thread stream nests per tid");
     let tids: std::collections::HashSet<u64> = all.iter().map(|s| s.tid).collect();
     assert_eq!(tids.len(), 8, "each thread records under its own tid");
+}
+
+#[test]
+fn parent_spans_end_after_their_children_on_busy_threads() {
+    // A span whose start timestamp and duration timer came from two
+    // separate clock reads ended before its child whenever the parent's
+    // gap between the reads (a preemption, at worst) outlasted the
+    // child's; sixteen busy threads make that likely.
+    let handles: Vec<_> = (0..16)
+        .map(|_| {
+            std::thread::spawn(|| {
+                let collector = ScopedCollector::begin();
+                for _ in 0..20_000 {
+                    let parent = span("parent", "test");
+                    timed_span("child", "test").finish();
+                    drop(parent);
+                }
+                let spans = collector.finish();
+                assert_eq!(spans.len(), 40_000);
+                validate_nesting(&spans)
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join()
+            .unwrap()
+            .expect("every parent span contains its child");
+    }
 }
 
 #[test]

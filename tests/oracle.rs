@@ -9,9 +9,6 @@
 //!
 //! and on trap-free runs the observable output is identical and the
 //! dynamic check count never increases for the loop-based schemes.
-#![cfg(feature = "proptest-tests")]
-// Entire file is property-based; gated so `--no-default-features`
-// builds without the vendored proptest shim.
 
 use nascent::frontend::compile;
 use nascent::interp::{run, Limits, RunError, RunResult};
