@@ -145,7 +145,7 @@ pub fn conditional_check_count(p: &Program) -> usize {
 mod tests {
     use super::*;
     use nascent_driver::harness::{
-        evaluate, evaluate_prepared, naive_run, run_matrix, table2_configs, table3_configs, Config,
+        evaluate_prepared, run_matrix, table2_configs, table3_configs, Config,
     };
     use nascent_rangecheck::{CheckKind, OptimizeOptions, Scheme};
     use nascent_suite::{suite, Scale};
@@ -156,8 +156,7 @@ mod tests {
         let m = measure_program(b);
         assert!(m.dynamic_checks > 0);
         assert!(m.dynamic_ratio() > 5.0);
-        let naive = naive_run(b);
-        let r = evaluate(b, &naive, &OptimizeOptions::scheme(Scheme::Lls));
+        let r = evaluate_prepared(&prepare(b), &OptimizeOptions::scheme(Scheme::Lls));
         assert!(r.percent_eliminated > 50.0, "got {}", r.percent_eliminated);
         assert!(r.timings.pass_nanos() > 0, "passes were timed");
         assert!(r.timings.report().contains("pass elim "), "elim pass timed");

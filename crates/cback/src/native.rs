@@ -3,12 +3,12 @@
 //!
 //! Across a 42-configuration × 10-program matrix most cells optimize to
 //! the *same* program text, so compiling per run would repeat the
-//! dominant cost. [`NativeRunner`] keys compiled binaries by a
-//! double-FNV content hash of the emitted C — the same "exact content ⇒
-//! exact reuse" discipline as the driver's fleet-wide result cache — and
-//! coalesces concurrent identical compiles: the first caller becomes the
-//! owner and runs the compiler, later callers block on the entry's
-//! condvar and share the owner's binary. Runtime
+//! dominant cost. [`NativeRunner`] keeps compiled binaries in a
+//! [`Memo`] keyed by the [`content_hash`] of the emitted C and its
+//! length — the same "exact content ⇒ exact reuse" memo as the driver's
+//! fleet-wide result cache — so concurrent identical compiles coalesce:
+//! the first caller runs the compiler, later callers wait for and share
+//! its binary. Runtime
 //! limits travel per *exec* (environment variables), not per binary, so
 //! one cached binary serves every limit setting.
 //!
@@ -17,77 +17,21 @@
 //! feeds the service's `/metrics` gauges and the `native_differential`
 //! binary's round-2 hit-rate check.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use nascent_ir::Program;
+use nascent_obs::memo::{content_hash, Memo, MemoStats, Role};
 
 use crate::runner::{self, CRunError, CRunResult};
-
-/// 64-bit FNV-1a (the repo's standard content-hash primitive).
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Cache key: two independent hashes of the emitted C plus its length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key {
-    h1: u64,
-    h2: u64,
-    len: usize,
-}
-
-impl Key {
-    fn of(c_source: &str) -> Key {
-        let bytes = c_source.as_bytes();
-        Key {
-            h1: fnv1a(bytes, 0xcbf2_9ce4_8422_2325),
-            h2: fnv1a(bytes, 0x6c62_272e_07bb_0142),
-            len: bytes.len(),
-        }
-    }
-}
 
 /// A finished compile: the binary path, or (compiler, stderr) of the
 /// failure — clonable so every waiter sees the owner's verdict.
 type Compiled = Result<PathBuf, (String, String)>;
 
-/// One cache entry: empty while the owner compiles, then filled once.
-struct Slot {
-    done: Mutex<Option<Compiled>>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, value: Compiled) {
-        *self.done.lock().expect("slot lock") = Some(value);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Compiled {
-        let mut done = self.done.lock().expect("slot lock");
-        while done.is_none() {
-            done = self.cv.wait(done).expect("slot wait");
-        }
-        done.clone().expect("filled")
-    }
-}
-
-/// Compile-cache traffic counters.
+/// Compile-cache traffic counters: the memo's counters, with its
+/// misses named for what a miss does here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NativeCacheStats {
     /// Runs that found their binary already compiled.
@@ -104,12 +48,13 @@ pub struct NativeCacheStats {
 impl NativeCacheStats {
     /// hits / (hits + compiles + coalesced), in [0, 1].
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.compiles + self.coalesced;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
+        MemoStats {
+            hits: self.hits,
+            misses: self.compiles,
+            coalesced: self.coalesced,
+            entries: self.entries,
         }
+        .hit_rate()
     }
 
     /// Traffic since an earlier snapshot (for per-round hit rates).
@@ -127,10 +72,7 @@ impl NativeCacheStats {
 /// The content-hash-keyed compile cache + exec engine.
 pub struct NativeRunner {
     dir: PathBuf,
-    slots: Mutex<HashMap<Key, Arc<Slot>>>,
-    hits: AtomicU64,
-    compiles: AtomicU64,
-    coalesced: AtomicU64,
+    binaries: Memo<((u64, u64), usize), Compiled>,
     cleanup: bool,
 }
 
@@ -170,10 +112,7 @@ impl NativeRunner {
                 std::process::id(),
                 seq
             )),
-            slots: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            compiles: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+            binaries: Memo::new(),
             cleanup,
         }
     }
@@ -229,45 +168,23 @@ impl NativeRunner {
         r
     }
 
-    /// The compiled binary for `c_source`: owner compiles, waiters
-    /// block, completed entries are instant hits.
+    /// The compiled binary for `c_source`: the first caller compiles,
+    /// concurrent callers wait, later callers are instant hits.
     fn compiled(&self, c_source: &str) -> Result<PathBuf, CRunError> {
-        let key = Key::of(c_source);
-        let (slot, owner) = {
-            let mut slots = self.slots.lock().expect("cache lock");
-            match slots.entry(key) {
-                Entry::Occupied(e) => (Arc::clone(e.get()), false),
-                Entry::Vacant(e) => {
-                    let slot = Arc::new(Slot::new());
-                    e.insert(Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
+        let hash = content_hash(c_source.as_bytes());
         let mut sp = nascent_obs::trace::span("compile", "native");
-        sp.attr("cached", i64::from(!owner));
-        let compiled = if owner {
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            let result = self.compile_now(c_source, &key);
-            slot.fill(result.clone());
-            result
-        } else {
-            // completed entry => hit; in-flight entry => coalesced wait
-            if slot.done.lock().expect("slot lock").is_some() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            slot.wait()
-        };
+        let (compiled, role) = self
+            .binaries
+            .get_or_compute((hash, c_source.len()), || self.compile_now(c_source, hash));
+        sp.attr("cached", i64::from(role != Role::Miss));
         compiled.map_err(|(compiler, stderr)| CRunError::CompileFailed { compiler, stderr })
     }
 
-    fn compile_now(&self, c_source: &str, key: &Key) -> Compiled {
+    fn compile_now(&self, c_source: &str, (h1, h2): (u64, u64)) -> Compiled {
         if let Err(e) = std::fs::create_dir_all(&self.dir) {
             return Err(("mkdir".to_string(), e.to_string()));
         }
-        let name = format!("p{:016x}{:016x}", key.h1, key.h2);
+        let name = format!("p{h1:016x}{h2:016x}");
         match runner::compile_c(c_source, &self.dir, &name) {
             Ok(bin) => Ok(bin),
             Err(CRunError::CompileFailed { compiler, stderr }) => Err((compiler, stderr)),
@@ -277,11 +194,12 @@ impl NativeRunner {
 
     /// Current compile-cache counters.
     pub fn stats(&self) -> NativeCacheStats {
+        let memo = self.binaries.stats();
         NativeCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            compiles: self.compiles.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: self.slots.lock().expect("cache lock").len(),
+            hits: memo.hits,
+            compiles: memo.misses,
+            coalesced: memo.coalesced,
+            entries: memo.entries,
         }
     }
 }

@@ -250,23 +250,6 @@ pub fn optimize_program(prog: &mut Program, opts: &OptimizeOptions) -> OptimizeS
     stats
 }
 
-/// [`optimize_program`], additionally returning merged per-analysis and
-/// per-pass wall-time counters across all functions.
-pub fn optimize_program_timed(
-    prog: &mut Program,
-    opts: &OptimizeOptions,
-) -> (OptimizeStats, Timings) {
-    let mut stats = OptimizeStats::default();
-    let mut timings = Timings::new();
-    for f in &mut prog.functions {
-        let mut log = JustLog::new();
-        let mut ctx = PassContext::new();
-        stats.absorb(optimize_function_with(f, opts, &mut log, &mut ctx));
-        timings.merge(&ctx.timings);
-    }
-    (stats, timings)
-}
-
 /// Optimizes one function in place.
 pub fn optimize_function(f: &mut Function, opts: &OptimizeOptions) -> OptimizeStats {
     let mut log = JustLog::new();

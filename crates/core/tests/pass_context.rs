@@ -76,8 +76,8 @@ fn full_optimizer_agrees_across_schemes_and_kinds() {
                 let opts = OptimizeOptions::scheme(scheme).with_kind(kind);
                 let mut p1 = nascent_frontend::compile(&b.source).unwrap();
                 let mut p2 = nascent_frontend::compile(&b.source).unwrap();
-                let (s1, t1) = nascent_rangecheck::optimize_program_timed(&mut p1, &opts);
-                let (s2, t2) = nascent_rangecheck::optimize_program_timed(&mut p2, &opts);
+                let (s1, _, t1) = nascent_rangecheck::optimize_program_logged_timed(&mut p1, &opts);
+                let (s2, _, t2) = nascent_rangecheck::optimize_program_logged_timed(&mut p2, &opts);
                 assert_eq!(s1, s2, "{} {scheme:?} {kind:?}: stats diverged", b.name);
                 for (f1, f2) in p1.functions.iter().zip(&p2.functions) {
                     assert_eq!(

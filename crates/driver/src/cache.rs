@@ -8,183 +8,45 @@
 //! old entry simply stops being addressed), while a hit skips parse,
 //! optimize, certify, and both measurement runs outright.
 //!
-//! Concurrent identical requests coalesce: the first becomes the owner
-//! and computes, the rest block on the entry's condvar and share the
-//! owner's `Arc<Outcome>` — two simultaneous identical requests compute
+//! The cache is a [`nascent_obs::memo::Memo`], so concurrent identical
+//! requests coalesce: the first computes, the rest wait for and share
+//! its `Arc<Outcome>` — two simultaneous identical requests compute
 //! exactly once (see `tests/cache.rs`).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+
+use nascent_obs::memo::{content_hash, MemoStats};
 
 use crate::{Outcome, PipelineError, Request};
 
-/// 64-bit FNV-1a, the same content-hash primitive style as the PR-2 CFG
-/// fingerprint: cheap, deterministic, dependency-free.
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// Cache traffic counters (hits, misses, coalesced waits, entries).
+pub type CacheStats = MemoStats;
+
+/// Cache key: the program text's content hash and length, the
+/// configuration fingerprint (kept verbatim, it is tiny) and the mode.
+/// The cache does not retain request bodies.
+pub(crate) type Key = ((u64, u64), usize, String, &'static str);
+
+/// A cached computation: the outcome, or why there is none.
+pub(crate) type Computed = Result<Arc<Outcome>, PipelineError>;
+
+pub(crate) fn key(req: &Request) -> Key {
+    (
+        content_hash(req.program.as_bytes()),
+        req.program.len(),
+        req.config.fingerprint(),
+        req.mode.name(),
+    )
 }
 
-/// Cache key: two independent content hashes plus the lengths they
-/// summarize. The configuration fingerprint is kept verbatim (it is
-/// tiny); the program text is represented by its hashes only, so the
-/// cache does not retain request bodies.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    h1: u64,
-    h2: u64,
-    source_len: usize,
-    config: String,
-    mode: &'static str,
-}
-
-impl Key {
-    fn of(req: &Request) -> Key {
-        let bytes = req.program.as_bytes();
-        Key {
-            h1: fnv1a(bytes, 0xcbf2_9ce4_8422_2325),
-            h2: fnv1a(bytes, 0x6c62_272e_07bb_0142),
-            source_len: bytes.len(),
-            config: req.config.fingerprint(),
-            mode: req.mode.name(),
-        }
-    }
-}
-
-type Computed = Result<Arc<Outcome>, PipelineError>;
-
-/// One cache entry: empty while the owner computes, then filled once.
-struct Slot {
-    done: Mutex<Option<Computed>>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, value: Computed) {
-        *self.done.lock().expect("slot lock") = Some(value);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Computed {
-        let mut done = self.done.lock().expect("slot lock");
-        while done.is_none() {
-            done = self.cv.wait(done).expect("slot wait");
-        }
-        done.clone().expect("filled")
-    }
-}
-
-/// Cache traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests answered from a completed entry.
-    pub hits: u64,
-    /// Requests that became the owner and computed.
-    pub misses: u64,
-    /// Requests that arrived while an identical one was in flight and
-    /// waited for its result instead of recomputing.
-    pub coalesced: u64,
-    /// Entries currently stored (in-flight included).
-    pub entries: usize,
-}
-
-impl CacheStats {
-    /// hits / (hits + misses + coalesced), in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.coalesced;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// The fleet-wide (source, config, mode) → [`Outcome`] cache.
-pub struct ResultCache {
-    slots: Mutex<HashMap<Key, Arc<Slot>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-}
-
-impl Default for ResultCache {
-    fn default() -> Self {
-        ResultCache::new()
-    }
-}
-
-impl ResultCache {
-    /// An empty cache.
-    pub fn new() -> ResultCache {
-        ResultCache {
-            slots: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the cached outcome for `req`, or runs `compute` (exactly
-    /// once per key, however many threads ask concurrently) and caches
-    /// its result. A panicking computation is isolated into
-    /// [`PipelineError::Panic`] and unblocks all waiters.
-    pub fn get_or_compute<F>(&self, req: &Request, compute: F) -> Computed
-    where
-        F: FnOnce() -> Result<Outcome, PipelineError>,
-    {
-        let key = Key::of(req);
-        let (slot, owner) = {
-            let mut slots = self.slots.lock().expect("cache lock");
-            match slots.entry(key) {
-                Entry::Occupied(e) => (Arc::clone(e.get()), false),
-                Entry::Vacant(e) => {
-                    let slot = Arc::new(Slot::new());
-                    e.insert(Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
-        if owner {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let result = match catch_unwind(AssertUnwindSafe(compute)) {
-                Ok(r) => r.map(Arc::new),
-                Err(payload) => Err(PipelineError::Panic(panic_message(payload.as_ref()))),
-            };
-            slot.fill(result.clone());
-            result
-        } else {
-            // Completed entry => hit; in-flight entry => coalesced wait.
-            if slot.done.lock().expect("slot lock").is_some() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            slot.wait()
-        }
-    }
-
-    /// Current traffic counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: self.slots.lock().expect("cache lock").len(),
-        }
+/// Runs `compute` with a panic turned into [`PipelineError::Panic`], so
+/// the cache stores and replays it like any other error instead of
+/// leaving the key empty for the next request to run again.
+pub(crate) fn isolated(compute: impl FnOnce() -> Result<Outcome, PipelineError>) -> Computed {
+    match catch_unwind(AssertUnwindSafe(compute)) {
+        Ok(r) => r.map(Arc::new),
+        Err(payload) => Err(PipelineError::Panic(panic_message(payload.as_ref()))),
     }
 }
 
@@ -203,6 +65,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::{Mode, RunConfig};
+    use nascent_obs::memo::{Memo, Role};
 
     fn req(src: &str) -> Request {
         Request {
@@ -214,29 +77,28 @@ mod tests {
 
     #[test]
     fn keys_separate_source_config_and_mode() {
-        let a = Key::of(&req("program p\nend\n"));
-        let b = Key::of(&req("program q\nend\n"));
+        let a = key(&req("program p\nend\n"));
+        let b = key(&req("program q\nend\n"));
         assert_ne!(a, b);
         let mut r = req("program p\nend\n");
         r.config.classic = true;
-        assert_ne!(a, Key::of(&r));
+        assert_ne!(a, key(&r));
         let mut r = req("program p\nend\n");
         r.mode = Mode::Certify;
-        assert_ne!(a, Key::of(&r));
+        assert_ne!(a, key(&r));
     }
 
     #[test]
     fn a_panicking_computation_is_isolated_and_cached() {
-        let cache = ResultCache::new();
+        let cache: Memo<Key, Computed> = Memo::new();
         let r = req("program p\nend\n");
-        let err = cache
-            .get_or_compute(&r, || panic!("boom"))
-            .expect_err("panic becomes error");
+        let (first, role) = cache.get_or_compute(key(&r), || isolated(|| panic!("boom")));
+        assert_eq!(role, Role::Miss);
+        let err = first.expect_err("panic becomes error");
         assert_eq!(err, PipelineError::Panic("boom".into()));
-        // waiters and later requests observe the same isolated error
-        let again = cache
-            .get_or_compute(&r, || unreachable!("must not recompute"))
-            .expect_err("cached error");
-        assert_eq!(again, err);
+        // later requests observe the same isolated error without rerunning
+        let (again, role) = cache.get_or_compute(key(&r), || unreachable!("must not recompute"));
+        assert_eq!(role, Role::Hit);
+        assert_eq!(again.expect_err("cached error"), err);
     }
 }

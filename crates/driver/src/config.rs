@@ -174,7 +174,7 @@ impl RunConfig {
 
     /// Builds a configuration from a full argument list, rejecting
     /// anything that is not a run-configuration flag. Binaries with
-    /// extra flags (e.g. `nascentc --certify`) drive [`parse_flag`]
+    /// extra flags (e.g. `nascentc --certify`) drive [`Self::parse_flag`]
     /// directly inside their own loop.
     pub fn from_args(args: &[String]) -> Result<RunConfig, String> {
         let mut config = RunConfig::default();

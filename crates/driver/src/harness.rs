@@ -16,13 +16,12 @@ use nascent_interp::{
 };
 use nascent_ir::Program;
 use nascent_rangecheck::{
-    optimize_program_timed, CheckKind, ImplicationMode, OptimizeOptions, OptimizeStats, Scheme,
-    Timings,
+    CheckKind, ImplicationMode, OptimizeOptions, OptimizeStats, Scheme, Timings,
 };
 use nascent_suite::Benchmark;
 use nascent_verify::Certificate;
 
-use crate::RunConfig;
+use crate::{Mode, RunConfig};
 
 /// Interpreter limits used by the harness.
 pub fn harness_limits() -> Limits {
@@ -116,7 +115,8 @@ pub struct SchemeResult {
     pub dynamic_checks: u64,
     /// Dynamic guard operations of hoisted conditional checks.
     pub dynamic_guard_ops: u64,
-    /// Time spent in the range-check optimizer.
+    /// Time spent in the range-check optimizer (the pipeline's
+    /// `optimize` stage span).
     pub optimize_time: Duration,
     /// Total compile + optimize time.
     pub total_time: Duration,
@@ -128,116 +128,76 @@ pub struct SchemeResult {
     pub stats: OptimizeStats,
 }
 
-fn evaluate_compiled(
-    name: &str,
-    checked: &Program,
-    compile_time: Duration,
-    naive: &RunResult,
-    opts: &OptimizeOptions,
-    engine: Engine,
-) -> SchemeResult {
-    let limits = harness_limits();
-    let mut prog = checked.clone();
-    let t1 = Instant::now();
-    let (stats, timings) = optimize_program_timed(&mut prog, opts);
-    let optimize_time = t1.elapsed();
-    let total_time = compile_time + optimize_time;
-    let r = run_with_engine(&prog, &limits, engine).unwrap_or_else(|e| {
-        panic!("{name} under {opts:?}: {e}");
-    });
-    if let Err(e) = crate::validate_runs(naive, &r) {
-        panic!("{name} under {opts:?}: {e}");
-    }
-    let pct = 100.0 * (1.0 - r.dynamic_checks as f64 / naive.dynamic_checks.max(1) as f64);
-    SchemeResult {
-        percent_eliminated: pct,
-        dynamic_checks: r.dynamic_checks,
-        dynamic_guard_ops: r.dynamic_guard_ops,
-        optimize_time,
-        total_time,
-        timings,
-        stats,
-    }
-}
-
-/// Optimizes a benchmark under `opts`, runs it, validates it against the
-/// naive run, and reports elimination percentage and timings.
-///
-/// # Panics
-///
-/// Panics if the optimized run fails the validation [`crate::compute`]
-/// applies (changed output or non-check work, more dynamic checks, a
-/// trap introduced, lost or moved later) — optimizer bugs must not
-/// produce table rows.
-pub fn evaluate(b: &Benchmark, naive: &RunResult, opts: &OptimizeOptions) -> SchemeResult {
-    let t0 = Instant::now();
-    let prog = compile(&b.source).expect("benchmark compiles");
-    let compile_time = t0.elapsed();
-    evaluate_compiled(b.name, &prog, compile_time, naive, opts, Engine::default())
-}
-
-/// [`evaluate`] against a prepared baseline: reuses the compiled program
-/// and the naive run instead of recompiling and re-running per cell.
-/// Executes on the register-bytecode VM ([`Engine::Vm`]).
-pub fn evaluate_prepared(pb: &PreparedBenchmark, opts: &OptimizeOptions) -> SchemeResult {
-    evaluate_prepared_with(pb, opts, Engine::default())
-}
-
-/// [`evaluate_prepared`] on an explicit [`Engine`] (for tree-vs-VM A/B).
-pub fn evaluate_prepared_with(
+/// Evaluates one matrix cell: [`crate::evaluate`] of the prepared
+/// program against its naive run on the default engine, certified in
+/// [`Mode::Certify`] by the same optimizer run. Panics with the
+/// pipeline's message on any [`crate::PipelineError`], and if the
+/// certifier rejects the run.
+fn cell(
     pb: &PreparedBenchmark,
     opts: &OptimizeOptions,
-    engine: Engine,
-) -> SchemeResult {
-    evaluate_compiled(
-        pb.bench.name,
-        &pb.checked,
-        pb.compile_time,
+    mode: Mode,
+) -> (SchemeResult, Option<Certificate>) {
+    let name = pb.bench.name;
+    let out = crate::evaluate(
+        pb.checked.clone(),
         &pb.naive,
-        opts,
-        engine,
+        &RunConfig::from_opts(opts),
+        mode,
+        &harness_limits(),
     )
+    .unwrap_or_else(|e| panic!("{name} under {opts:?}: {e}"));
+    if let Some(cert) = &out.certificate {
+        assert!(
+            cert.ok(),
+            "{name} under {opts:?} rejected by the certifier:\n{}",
+            cert.diagnostics
+                .iter()
+                .map(|d| d.to_string())
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+    }
+    let optimize_time = Duration::from_nanos(out.stages.optimize_ns);
+    let result = SchemeResult {
+        percent_eliminated: out.counters.percent_eliminated,
+        dynamic_checks: out.counters.dynamic_checks,
+        dynamic_guard_ops: out.counters.dynamic_guard_ops,
+        optimize_time,
+        total_time: pb.compile_time + optimize_time,
+        timings: out.timings,
+        stats: out.stats,
+    };
+    (result, out.certificate)
 }
 
-/// Optimizes a benchmark with the justification log enabled and
-/// re-validates every decision with the static certifier
-/// (`nascent-verify`). The returned certificate carries the obligation
-/// counts and the number of checks the value-range analysis discharges
-/// statically.
+/// Optimizes a prepared benchmark under `opts`, runs it on the VM,
+/// validates it against the naive run, and reports elimination
+/// percentage and timings.
 ///
 /// # Panics
 ///
-/// Panics if the certifier rejects the run — tables must not be produced
-/// from uncertified optimizations.
-pub fn certify_benchmark(b: &Benchmark, opts: &OptimizeOptions) -> Certificate {
-    let naive = compile(&b.source).expect("benchmark compiles");
-    certify_compiled(b.name, &naive, opts)
+/// Panics if the optimized run fails or fails the validation
+/// [`crate::compute`] applies (changed output or non-check work, more
+/// dynamic checks, a trap introduced, lost or moved later) — optimizer
+/// bugs must not produce table rows.
+pub fn evaluate_prepared(pb: &PreparedBenchmark, opts: &OptimizeOptions) -> SchemeResult {
+    cell(pb, opts, Mode::Optimize).0
 }
 
-/// [`certify_benchmark`] against a prepared baseline (no recompile).
+/// [`evaluate_prepared`] with the static certifier (`nascent-verify`)
+/// re-validating every decision of the same optimizer run. The
+/// certificate carries the obligation counts and the number of checks
+/// the value-range analysis discharges statically.
+///
+/// # Panics
+///
+/// As [`evaluate_prepared`], and if the certifier rejects the run —
+/// tables must not be produced from uncertified optimizations.
 pub fn certify_prepared(pb: &PreparedBenchmark, opts: &OptimizeOptions) -> Certificate {
-    certify_compiled(pb.bench.name, &pb.checked, opts)
-}
-
-fn certify_compiled(name: &str, naive: &Program, opts: &OptimizeOptions) -> Certificate {
-    let mut prog = naive.clone();
-    let (_, cert, _) = crate::optimize_and_certify(&RunConfig::from_opts(opts), &mut prog);
-    assert!(
-        cert.ok(),
-        "{name} under {opts:?} rejected by the certifier:\n{}",
-        cert.diagnostics
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    cert
-}
-
-/// Runs the naive (unoptimized, checked) version of a benchmark on the VM.
-pub fn naive_run(b: &Benchmark) -> RunResult {
-    let prog = compile(&b.source).expect("benchmark compiles");
-    run_compiled(&lower(&prog), &harness_limits()).expect("benchmark runs")
+    cell(pb, opts, Mode::Certify)
+        .1
+        .expect("certify mode certifies")
 }
 
 /// One row of Table 2 / Table 3: a named configuration.
@@ -330,8 +290,8 @@ pub struct MatrixCell {
     pub result: SchemeResult,
     /// Certifier verdict, when certification was requested.
     pub certificate: Option<Certificate>,
-    /// Wall-clock time this cell took on its worker (optimize + run +
-    /// validate + optional certification).
+    /// Wall-clock time this cell took on its worker (optimize + optional
+    /// certification + run + validate).
     pub wall: Duration,
 }
 
@@ -387,22 +347,12 @@ impl MatrixReport {
     }
 }
 
-/// Worker-thread count for [`run_matrix`]: `NASCENT_THREADS` when set to
-/// a positive integer, otherwise the machine's available parallelism;
-/// either way capped by the number of cells. The override exists so
-/// constrained CI runners (and benchmark snapshots) can pin — and
-/// honestly report — the worker count actually used.
+/// Worker-thread count for [`run_matrix`]: the machine's available
+/// parallelism, capped by the number of cells.
 pub fn matrix_threads(cells: usize) -> usize {
-    let requested = std::env::var("NASCENT_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|n| *n > 0);
-    requested
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
         .min(cells)
         .max(1)
 }
@@ -481,17 +431,11 @@ pub fn run_matrix(
     configs: &[Config],
     certify: bool,
 ) -> MatrixReport {
-    run_matrix_with(prepared, configs, certify, Engine::default())
-}
-
-/// [`run_matrix`] on an explicit [`Engine`] (for tree-vs-VM A/B runs; the
-/// check and guard counters of every cell are engine-invariant).
-pub fn run_matrix_with(
-    prepared: &[PreparedBenchmark],
-    configs: &[Config],
-    certify: bool,
-    engine: Engine,
-) -> MatrixReport {
+    let mode = if certify {
+        Mode::Certify
+    } else {
+        Mode::Optimize
+    };
     let pairs: Vec<(usize, usize)> = (0..configs.len())
         .flat_map(|c| (0..prepared.len()).map(move |b| (c, b)))
         .collect();
@@ -509,8 +453,7 @@ pub fn run_matrix_with(
                 let pb = &prepared[bench_index];
                 let cfg = &configs[config_index];
                 let cell0 = Instant::now();
-                let result = evaluate_prepared_with(pb, &cfg.opts, engine);
-                let certificate = certify.then(|| certify_prepared(pb, &cfg.opts));
+                let (result, certificate) = cell(pb, &cfg.opts, mode);
                 *slots[i].lock().expect("slot lock") = Some(MatrixCell {
                     config_index,
                     bench_index,

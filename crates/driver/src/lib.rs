@@ -8,14 +8,18 @@
 //!
 //! * [`RunConfig`] — the one run-configuration surface and flag parser
 //!   ([`config`]),
-//! * [`Pipeline`] — a [`Request`] `{ program, config, mode }` →
-//!   [`Outcome`] `{ stats, certificate, counters, timings }` function
-//!   with a fleet-wide result cache keyed by content hash of
-//!   (source, config, mode) ([`cache`]); concurrent identical requests
-//!   coalesce onto one computation,
-//! * [`harness`] — the experiment-matrix machinery (`prepare`,
-//!   `evaluate_prepared`, `run_matrix`, the table configurations) that
-//!   the `crates/bench` binaries import,
+//! * [`compute`] — a [`Request`] `{ program, config, mode }` →
+//!   [`Outcome`] `{ stats, certificate, counters, timings }` function:
+//!   parse, the naive run, then [`evaluate`], which optimizes, certifies
+//!   (in [`Mode::Certify`]), runs and validates one configuration
+//!   against a given naive run,
+//! * [`Pipeline`] — [`compute`] behind a fleet-wide result cache keyed
+//!   by content hash of (source, config, mode) ([`cache`]); concurrent
+//!   identical requests coalesce onto one computation,
+//! * [`harness`] — the experiment-matrix machinery (`prepare`, one cell
+//!   function over [`evaluate`] behind `evaluate_prepared`,
+//!   `certify_prepared` and `run_matrix`, the table configurations)
+//!   that the `crates/bench` binaries import,
 //! * [`service`] — the `nascentd` HTTP+JSON server: a bounded
 //!   work-stealing pool with semaphore backpressure and per-request
 //!   panic isolation serving `/optimize`, `/certify`, `/healthz`, and
@@ -39,12 +43,14 @@
 //!     config: RunConfig::default(),
 //!     mode: Mode::Certify,
 //! };
-//! let out = pipeline.run(&req).unwrap();
+//! let (out, _) = pipeline.run(&req);
+//! let out = out.unwrap();
 //! assert!(out.certificate.as_ref().unwrap().ok());
 //! assert!(out.counters.dynamic_checks < out.counters.naive_checks);
 //! // identical request: served from the fleet-wide cache
-//! let again = pipeline.run(&req).unwrap();
-//! assert!(std::sync::Arc::ptr_eq(&out, &again));
+//! let (again, role) = pipeline.run(&req);
+//! assert_eq!(role, nascent_obs::memo::Role::Hit);
+//! assert!(std::sync::Arc::ptr_eq(&out, &again.unwrap()));
 //! ```
 
 pub mod cache;
@@ -60,6 +66,7 @@ use std::sync::Arc;
 use nascent_frontend::compile;
 use nascent_interp::{run_with_engine, Limits, RunResult};
 use nascent_ir::Program;
+use nascent_obs::memo::{Memo, Role};
 use nascent_rangecheck::{
     optimize_program_logged_timed, JustLog, OptimizeOptions, OptimizeStats, Timings,
 };
@@ -324,31 +331,38 @@ pub fn optimize_and_certify(
     config: &RunConfig,
     prog: &mut Program,
 ) -> (OptimizeStats, Certificate, Timings) {
-    let (stats, cert, timings, _, _) = optimize_and_certify_staged(config, prog);
-    (stats, cert, timings)
+    let (stats, cert, timings) =
+        optimize_stages(config, Mode::Certify, prog, &mut StageNanos::default());
+    (stats, cert.expect("certify mode certifies"), timings)
 }
 
-/// [`optimize_and_certify`] with per-stage wall time: additionally
-/// returns `(optimize nanoseconds, certify nanoseconds)`, measured as
-/// obs `stage` spans so a trace recorder sees the same intervals.
-pub fn optimize_and_certify_staged(
+/// The `optimize` stage (classic pre-pass when configured, then the
+/// logged optimizer) and, in [`Mode::Certify`], the `certify` stage
+/// against a reference snapshot taken after the pre-pass. Each stage is
+/// an obs `stage` span whose wall time goes into `stages`.
+fn optimize_stages(
     config: &RunConfig,
+    mode: Mode,
     prog: &mut Program,
-) -> (OptimizeStats, Certificate, Timings, u64, u64) {
+    stages: &mut StageNanos,
+) -> (OptimizeStats, Option<Certificate>, Timings) {
     let sp = nascent_obs::trace::timed_span("optimize", "stage");
     if config.classic {
         for f in &mut prog.functions {
             nascent_classic::optimize_classic(f);
         }
     }
-    let reference = prog.clone();
+    let reference = (mode == Mode::Certify).then(|| prog.clone());
     let opts = config.opts();
     let (stats, logs, timings) = optimize_with_log(prog, config, &opts);
-    let optimize_ns = sp.finish().as_nanos() as u64;
-    let sp = nascent_obs::trace::timed_span("certify", "stage");
-    let cert = certify_program(&reference, prog, &logs, &opts);
-    let certify_ns = sp.finish().as_nanos() as u64;
-    (stats, cert, timings, optimize_ns, certify_ns)
+    stages.optimize_ns = sp.finish().as_nanos() as u64;
+    let certificate = reference.map(|reference| {
+        let sp = nascent_obs::trace::timed_span("certify", "stage");
+        let cert = certify_program(&reference, prog, &logs, &opts);
+        stages.certify_ns = sp.finish().as_nanos() as u64;
+        cert
+    });
+    (stats, certificate, timings)
 }
 
 /// Compiles a source, optimizes it under `opts`, and certifies the run —
@@ -384,7 +398,7 @@ fn render_trap(t: &nascent_interp::Trap) -> String {
 /// no trap when the naive run is trap-free; a no-later trap (by the
 /// statement-progress metric) with a consistent output prefix when the
 /// naive run traps.
-pub(crate) fn validate_runs(naive: &RunResult, opt: &RunResult) -> Result<(), PipelineError> {
+fn validate_runs(naive: &RunResult, opt: &RunResult) -> Result<(), PipelineError> {
     match (&naive.trap, &opt.trap) {
         (None, None) => {
             if opt.output != naive.output {
@@ -428,9 +442,8 @@ pub(crate) fn validate_runs(naive: &RunResult, opt: &RunResult) -> Result<(), Pi
     }
 }
 
-/// The canonical pipeline: compile, optimize (logged), optionally
-/// certify, and measure both the naive and the optimized program on the
-/// configured engine, validating the two runs against each other.
+/// The canonical pipeline: compile, run the naive program, then
+/// [`evaluate`] the configuration against that run.
 ///
 /// This is the uncached single-request path; [`Pipeline::run`] adds the
 /// fleet-wide cache and request coalescing on top.
@@ -438,55 +451,59 @@ pub fn compute(req: &Request, limits: &Limits) -> Result<Outcome, PipelineError>
     let mut root = nascent_obs::trace::span("pipeline", "stage");
     root.attr("config", req.config.fingerprint());
     root.attr("mode", req.mode.name());
-    let mut stages = StageNanos::default();
 
     let sp = nascent_obs::trace::timed_span("parse", "stage");
     let naive_prog = compile(&req.program).map_err(|e| PipelineError::Compile(e.to_string()))?;
-    stages.parse_ns = sp.finish().as_nanos() as u64;
+    let parse_ns = sp.finish().as_nanos() as u64;
 
     let sp = nascent_obs::trace::timed_span("naive-run", "stage");
     let naive = run_with_engine(&naive_prog, limits, req.config.engine)
         .map_err(|e| PipelineError::Run(format!("naive run: {e}")))?;
-    stages.naive_run_ns = sp.finish().as_nanos() as u64;
+    let naive_run_ns = sp.finish().as_nanos() as u64;
 
-    let mut prog = naive_prog;
-    let (stats, certificate, timings) = match req.mode {
-        Mode::Certify => {
-            let (stats, cert, timings, optimize_ns, certify_ns) =
-                optimize_and_certify_staged(&req.config, &mut prog);
-            stages.optimize_ns = optimize_ns;
-            stages.certify_ns = certify_ns;
-            (stats, Some(cert), timings)
-        }
-        Mode::Optimize => {
-            let sp = nascent_obs::trace::timed_span("optimize", "stage");
-            if req.config.classic {
-                for f in &mut prog.functions {
-                    nascent_classic::optimize_classic(f);
-                }
-            }
-            let opts = req.config.opts();
-            let (stats, _, timings) = optimize_with_log(&mut prog, &req.config, &opts);
-            stages.optimize_ns = sp.finish().as_nanos() as u64;
-            (stats, None, timings)
-        }
-    };
+    let mut outcome = evaluate(naive_prog, &naive, &req.config, req.mode, limits)?;
+    outcome.stages.parse_ns = parse_ns;
+    outcome.stages.naive_run_ns = naive_run_ns;
+    Ok(outcome)
+}
+
+/// Evaluates one configuration of a compiled program against its naive
+/// run: optimizes `program` (logged), certifies the optimization in
+/// [`Mode::Certify`], runs the result on the configured engine, and
+/// validates that run against `naive`. The returned stages carry the
+/// optimize, certify and execute times; parse and naive-run stay zero.
+///
+/// # Errors
+///
+/// [`PipelineError::Run`] when the optimized program fails to run, and
+/// [`PipelineError::Divergence`] when its run fails the validation
+/// against `naive`. A certificate with diagnostics is not an error; it
+/// is returned in the outcome.
+pub fn evaluate(
+    mut program: Program,
+    naive: &RunResult,
+    config: &RunConfig,
+    mode: Mode,
+    limits: &Limits,
+) -> Result<Outcome, PipelineError> {
+    let mut stages = StageNanos::default();
+    let (stats, certificate, timings) = optimize_stages(config, mode, &mut program, &mut stages);
 
     let sp = nascent_obs::trace::timed_span("execute", "stage");
-    let opt = run_with_engine(&prog, limits, req.config.engine)
+    let opt = run_with_engine(&program, limits, config.engine)
         .map_err(|e| PipelineError::Run(format!("optimized run: {e}")))?;
     // The classic pre-pass legitimately changes non-check work, so the
     // differential validation only applies to the pure range-check
     // pipeline.
-    if !req.config.classic {
-        validate_runs(&naive, &opt)?;
+    if !config.classic {
+        validate_runs(naive, &opt)?;
     }
     stages.execute_ns = sp.finish().as_nanos() as u64;
 
     let percent = 100.0 * (1.0 - opt.dynamic_checks as f64 / naive.dynamic_checks.max(1) as f64);
     Ok(Outcome {
-        config: req.config,
-        mode: req.mode,
+        config: *config,
+        mode,
         stats,
         certificate,
         counters: Counters {
@@ -509,7 +526,7 @@ pub fn compute(req: &Request, limits: &Limits) -> Result<Outcome, PipelineError>
 /// result cache with request coalescing.
 pub struct Pipeline {
     limits: Limits,
-    cache: cache::ResultCache,
+    cache: Memo<cache::Key, cache::Computed>,
 }
 
 impl Default for Pipeline {
@@ -528,16 +545,19 @@ impl Pipeline {
     pub fn with_limits(limits: Limits) -> Pipeline {
         Pipeline {
             limits,
-            cache: cache::ResultCache::new(),
+            cache: Memo::new(),
         }
     }
 
     /// Runs a request through the cache: an exact (source, config, mode)
     /// match returns the stored outcome without recomputing; concurrent
-    /// identical requests coalesce onto the first computation.
-    pub fn run(&self, req: &Request) -> Result<Arc<Outcome>, PipelineError> {
-        self.cache
-            .get_or_compute(req, || compute(req, &self.limits))
+    /// identical requests coalesce onto the first computation. The
+    /// [`Role`] says which of the three answered this call. A panic in
+    /// the computation is stored as [`PipelineError::Panic`].
+    pub fn run(&self, req: &Request) -> (Result<Arc<Outcome>, PipelineError>, Role) {
+        self.cache.get_or_compute(cache::key(req), || {
+            cache::isolated(|| compute(req, &self.limits))
+        })
     }
 
     /// Cache traffic counters (hits, misses, coalesced waits, entries).

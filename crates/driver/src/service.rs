@@ -32,7 +32,7 @@
 //! under `GET /metrics?format=prom` (per-endpoint latency histograms,
 //! per-stage pipeline timings, cache traffic, per-scheme elimination
 //! totals); latency percentiles come from a fixed-capacity
-//! [`Reservoir`](nascent_obs::metrics::Reservoir), so memory stays
+//! [`Reservoir`], so memory stays
 //! bounded across any number of requests; and `?trace=1` on a pipeline
 //! endpoint captures that request's spans with a scoped collector and
 //! embeds the Chrome-trace JSON in the response.
@@ -49,6 +49,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nascent_interp::{Engine, Limits};
+use nascent_obs::memo::Role;
 use nascent_obs::metrics::{percentile, Counter, Gauge, Histogram, Registry, Reservoir};
 use nascent_obs::trace::{chrome_trace_json, set_request_id, ScopedCollector};
 
@@ -794,9 +795,8 @@ fn pipeline_endpoint(
     // the trace shows the work *this* request performed.
     let want_trace = request.query_param("trace") == Some("1");
     let collector = want_trace.then(ScopedCollector::begin);
-    let before = shared.pipeline.cache_stats();
     let t0 = Instant::now();
-    let result = shared.pipeline.run(&req);
+    let (result, role) = shared.pipeline.run(&req);
     shared
         .metrics
         .record_latency(mode, req.config.engine, t0.elapsed());
@@ -806,8 +806,9 @@ fn pipeline_endpoint(
         // the response a single well-formed document
         parse(&chrome_trace_json(&spans)).expect("chrome trace renders valid JSON")
     });
-    let after = shared.pipeline.cache_stats();
-    let cached = after.misses == before.misses;
+    // from this call's role: the cache's counters also move with other
+    // workers' requests
+    let cached = role != Role::Miss;
     match result {
         Ok(outcome) => {
             if !cached {

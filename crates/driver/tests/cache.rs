@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use nascent_driver::{compute, harness, Mode, Pipeline, Request, RunConfig};
+use nascent_obs::memo::Memo;
 use nascent_rangecheck::Scheme;
 
 const PROGRAM: &str = "program cachetest
@@ -30,11 +31,11 @@ fn request(program: &str) -> Request {
 fn identical_requests_hit_the_cache() {
     let pipeline = Pipeline::new();
     let req = request(PROGRAM);
-    let first = pipeline.run(&req).unwrap();
+    let first = pipeline.run(&req).0.unwrap();
     let stats = pipeline.cache_stats();
     assert_eq!((stats.hits, stats.misses), (0, 1));
 
-    let second = pipeline.run(&req).unwrap();
+    let second = pipeline.run(&req).0.unwrap();
     let stats = pipeline.cache_stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
     assert_eq!(stats.entries, 1);
@@ -47,10 +48,10 @@ fn identical_requests_hit_the_cache() {
 fn source_edit_invalidates() {
     let pipeline = Pipeline::new();
     let req = request(PROGRAM);
-    pipeline.run(&req).unwrap();
+    pipeline.run(&req).0.unwrap();
     // one changed byte in the source is a different key
     let edited = request(&PROGRAM.replace("i * 2", "i * 3"));
-    let out = pipeline.run(&edited).unwrap();
+    let out = pipeline.run(&edited).0.unwrap();
     let stats = pipeline.cache_stats();
     assert_eq!((stats.hits, stats.misses), (0, 2));
     assert_eq!(stats.entries, 2);
@@ -61,16 +62,16 @@ fn source_edit_invalidates() {
 fn config_or_mode_edit_invalidates() {
     let pipeline = Pipeline::new();
     let req = request(PROGRAM);
-    pipeline.run(&req).unwrap();
+    pipeline.run(&req).0.unwrap();
 
     let mut other_scheme = request(PROGRAM);
     other_scheme.config.scheme = Scheme::Ni;
-    pipeline.run(&other_scheme).unwrap();
+    pipeline.run(&other_scheme).0.unwrap();
     assert_eq!(pipeline.cache_stats().misses, 2);
 
     let mut other_mode = request(PROGRAM);
     other_mode.mode = Mode::Optimize;
-    let out = pipeline.run(&other_mode).unwrap();
+    let out = pipeline.run(&other_mode).0.unwrap();
     let stats = pipeline.cache_stats();
     assert_eq!((stats.hits, stats.misses), (0, 3));
     assert!(out.certificate.is_none(), "optimize mode: no certificate");
@@ -80,8 +81,8 @@ fn config_or_mode_edit_invalidates() {
 fn cached_outcome_matches_a_fresh_computation() {
     let pipeline = Pipeline::new();
     let req = request(PROGRAM);
-    pipeline.run(&req).unwrap();
-    let cached = pipeline.run(&req).unwrap();
+    pipeline.run(&req).0.unwrap();
+    let cached = pipeline.run(&req).0.unwrap();
     let fresh = compute(&req, &harness::harness_limits()).unwrap();
     assert_eq!(
         cached.deterministic_json().render(),
@@ -107,7 +108,7 @@ fn concurrent_identical_requests_compute_once() {
                 let req = req.clone();
                 s.spawn(move || {
                     barrier.wait();
-                    pipeline.run(&req).unwrap()
+                    pipeline.run(&req).0.unwrap()
                 })
             })
             .collect();
@@ -130,11 +131,12 @@ fn concurrent_identical_requests_compute_once() {
 }
 
 /// The same single-execution property, proven independently of the
-/// traffic counters: a side-effect counter in the computed closure.
+/// traffic counters: a side-effect counter in the computed closure,
+/// driven through the memo the pipeline caches with.
 #[test]
 fn coalesced_waiters_never_rerun_the_computation() {
     const THREADS: usize = 6;
-    let cache = nascent_driver::cache::ResultCache::new();
+    let cache = Memo::new();
     let runs = AtomicUsize::new(0);
     let barrier = Barrier::new(THREADS);
     let req = request(PROGRAM);
@@ -143,12 +145,11 @@ fn coalesced_waiters_never_rerun_the_computation() {
         for _ in 0..THREADS {
             s.spawn(|| {
                 barrier.wait();
-                let out = cache
-                    .get_or_compute(&req, || {
-                        runs.fetch_add(1, Ordering::SeqCst);
-                        compute(&req, &limits)
-                    })
-                    .unwrap();
+                let (out, _) = cache.get_or_compute(req.program.as_str(), || {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    compute(&req, &limits).map(Arc::new)
+                });
+                let out = out.unwrap();
                 assert!(out.certificate.as_ref().unwrap().ok());
             });
         }
@@ -160,9 +161,9 @@ fn coalesced_waiters_never_rerun_the_computation() {
 fn errors_are_cached_like_outcomes() {
     let pipeline = Pipeline::new();
     let req = request("program broken\n x = \nend\n");
-    let first = pipeline.run(&req).unwrap_err();
+    let first = pipeline.run(&req).0.unwrap_err();
     assert!(first.is_client_error());
-    let second = pipeline.run(&req).unwrap_err();
+    let second = pipeline.run(&req).0.unwrap_err();
     assert_eq!(first, second);
     let stats = pipeline.cache_stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));

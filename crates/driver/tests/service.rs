@@ -326,6 +326,86 @@ fn cached_flag_and_cache_hit_rate_are_reported() {
     server.stop();
 }
 
+/// A hit served while another worker computes a miss is still a hit:
+/// the `cached` flag, the cache's miss count and the per-stage metrics
+/// (recorded for fresh computations only) agree under concurrent mixed
+/// traffic.
+#[test]
+fn cached_flag_counts_exactly_the_fresh_computations_under_load() {
+    const WARM: usize = 50;
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 300;
+    let server = start(ServiceConfig {
+        workers: 4,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let a = addr(&server);
+    let program = |n: usize| PROGRAM.replace("a(i) = i", &format!("a(i) = i + {n}"));
+    let parse_count = || {
+        let (_, prom) = request(&a, "GET", "/metrics?format=prom", b"").unwrap();
+        let prom = String::from_utf8(prom).unwrap();
+        let line = prom
+            .lines()
+            .find(|l| l.starts_with("nascentd_stage_duration_seconds_count{stage=\"parse\"}"))
+            .expect("parse stage histogram");
+        line.rsplit(' ').next().unwrap().parse::<u64>().unwrap()
+    };
+    for n in 0..WARM {
+        let (status, _) = request(
+            &a,
+            "POST",
+            "/optimize",
+            body_for(&program(n), "NI").as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(status, 200);
+    }
+    let misses_before = server.pipeline().cache_stats().misses;
+    let parses_before = parse_count();
+    let fresh_replies: usize = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let a = a.clone();
+                s.spawn(move || {
+                    let mut fresh = 0;
+                    for i in 0..PER_CLIENT {
+                        // every 4th request is a program no one sent before
+                        let n = if i % 4 == 3 {
+                            WARM + c * PER_CLIENT + i
+                        } else {
+                            (c + i) % WARM
+                        };
+                        let (status, body) = request(
+                            &a,
+                            "POST",
+                            "/optimize",
+                            body_for(&program(n), "NI").as_bytes(),
+                        )
+                        .unwrap();
+                        assert_eq!(status, 200);
+                        let reply = parse(std::str::from_utf8(&body).unwrap()).unwrap();
+                        if reply.get("cached").and_then(Json::as_bool) == Some(false) {
+                            fresh += 1;
+                        }
+                    }
+                    fresh
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    let misses = server.pipeline().cache_stats().misses - misses_before;
+    let parses = parse_count() - parses_before;
+    assert_eq!(misses, (CLIENTS * PER_CLIENT / 4) as u64);
+    assert_eq!(
+        fresh_replies as u64, misses,
+        "\"cached\": false replies vs misses"
+    );
+    assert_eq!(parses, misses, "parse-stage observations vs misses");
+    server.stop();
+}
+
 #[test]
 fn every_response_carries_a_unique_request_id() {
     let server = test_server();

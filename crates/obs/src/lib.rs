@@ -1,6 +1,6 @@
 //! `nascent-obs` — structured observability for the nascent-rc pipeline.
 //!
-//! Std-only (the build must succeed without registry access), three
+//! Std-only (the build must succeed without registry access), four
 //! cooperating subsystems shared by every layer of the workspace:
 //!
 //! * [`trace`] — span-based tracing: RAII guards ([`trace::span`] /
@@ -23,7 +23,15 @@
 //!   minted per service request, carried in a thread-local so every span
 //!   recorded while handling the request is tagged with it, and echoed
 //!   in responses and error diagnostics.
+//! * [`memo`] — the one content-hash memo: [`memo::Memo`] computes each
+//!   key once however many threads ask, makes concurrent callers wait
+//!   for the first, and answers each call with its [`memo::Role`] (hit,
+//!   miss or coalesced) and the [`memo::MemoStats`] counters that
+//!   `/metrics` reports; [`memo::content_hash`] is the double-FNV hash
+//!   its callers key content by. The driver's result cache and the
+//!   native tier's compile cache are both this memo.
 
+pub mod memo;
 pub mod metrics;
 pub mod trace;
 
