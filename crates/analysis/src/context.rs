@@ -29,7 +29,7 @@
 //!
 //! The context doubles as the timing surface for `--timings` reports:
 //! each analysis records computes, cache hits and cumulative wall time,
-//! and passes record their own wall time via [`PassContext::record_pass`].
+//! and passes record their own wall time via [`Timings::record_pass`].
 //! Since the obs integration, [`Timings`] is a thin view over
 //! `nascent_obs` spans: every compute and pass body runs inside a
 //! [`nascent_obs::trace::timed_span`], whose measured duration feeds

@@ -12,7 +12,7 @@
 //!   per-statement scratch window in each bank;
 //! * **types** — the static type of every subexpression is inferred at
 //!   lowering time (the interpreter's promotion rules are static: see
-//!   [`infer_ty`]), so the `Value` enum disappears from the hot path
+//!   `infer_ty`), so the `Value` enum disappears from the hot path
 //!   entirely.  Arithmetic lowers to `IAdd`/`FArith`/… on the right
 //!   bank, with explicit `ItoF`/`FtoI` conversions exactly where the
 //!   tree-walker's `coerce`/`as_int`/`as_real` calls sit;
@@ -233,7 +233,7 @@ pub struct FastCheck {
     pub base: i64,
     /// The range constant.
     pub bound: i64,
-    /// Index into [`CompiledFunction::checks`] for the trap display.
+    /// Index into `CompiledFunction::checks` for the trap display.
     pub check: u32,
     /// Fused [`Instr::Charge`] of the *following* statement (0 = none):
     /// applied after the check completes without trapping, preserving the
@@ -262,7 +262,7 @@ pub struct FastCheck2 {
     pub base: i64,
     /// The range constant.
     pub bound: i64,
-    /// Index into [`CompiledFunction::checks`] for the trap display.
+    /// Index into `CompiledFunction::checks` for the trap display.
     pub check: u32,
     /// Fused charge of the following statement (0 = none).
     pub charge: u64,
@@ -281,7 +281,7 @@ pub struct FastCheckN {
     pub base: i64,
     /// The range constant.
     pub bound: i64,
-    /// Index into [`CompiledFunction::checks`] for the trap display.
+    /// Index into `CompiledFunction::checks` for the trap display.
     pub check: u32,
     /// Fused charge of the following statement (0 = none).
     pub charge: u64,

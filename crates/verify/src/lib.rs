@@ -7,7 +7,7 @@
 //!   result is used only after this small checker has verified it is
 //!   inductive, so the fixpoint's widening and iteration cap are not
 //!   trusted.
-//! * [`validate`] — translation validation: independently re-checks the
+//! * `validate` — translation validation: independently re-checks the
 //!   justification log emitted by `nascent_rangecheck::optimize_function`
 //!   against the optimized CFG, using the checked value-range facts plus
 //!   a from-scratch availability recomputation. Any uncovered obligation
