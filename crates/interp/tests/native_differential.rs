@@ -9,7 +9,10 @@
 //! reason) when the host has none; the tree/VM half of the differential
 //! is covered unconditionally by `vm_differential.rs`.
 
-use nascent_cback::cc_available;
+use std::sync::Barrier;
+
+use nascent_cback::native::NativeRunner;
+use nascent_cback::{cc_available, CRunResult};
 use nascent_driver::harness::{compare_engines, harness_limits};
 use nascent_frontend::compile;
 use nascent_interp::{Engine, Limits, RunResult};
@@ -325,4 +328,61 @@ end
         };
         let _ = compare_engines(&format!("call depth {depth}"), &prog, &l, &THREE);
     }
+}
+
+/// The compile cache compiles each distinct program once: six threads
+/// running one program at the same moment share one compile, and a rerun
+/// under another step limit reuses it.
+#[test]
+fn concurrent_native_runs_share_one_compile() {
+    if skip() {
+        return;
+    }
+    const THREADS: usize = 6;
+    let runner = NativeRunner::new();
+    let prog = compile(FEATURE_PROGRAMS[1].1).expect("compiles");
+    let limits = harness_limits();
+    let depth = limits.max_call_depth as u64;
+    let barrier = Barrier::new(THREADS);
+    let runs: Vec<CRunResult> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    runner
+                        .run(&prog, limits.max_steps, depth)
+                        .expect("native run")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let stats = runner.stats();
+    assert_eq!(stats.compiles, 1, "{stats:?}");
+    assert_eq!(
+        stats.hits + stats.coalesced,
+        (THREADS - 1) as u64,
+        "{stats:?}"
+    );
+    assert_eq!(stats.entries, 1, "{stats:?}");
+    let observable = |r: &CRunResult| {
+        (
+            r.dynamic_instructions,
+            r.dynamic_progress,
+            r.dynamic_checks,
+            r.dynamic_guard_ops,
+            r.trap.clone(),
+            r.output.clone(),
+        )
+    };
+    for r in &runs[1..] {
+        assert_eq!(observable(r), observable(&runs[0]));
+    }
+
+    runner
+        .run(&prog, limits.max_steps / 2, depth)
+        .expect("native run");
+    let rerun = runner.stats().since(&stats);
+    assert_eq!((rerun.hits, rerun.compiles, rerun.coalesced), (1, 0, 0));
+    assert_eq!(runner.stats().compiles, 1);
 }
