@@ -34,7 +34,7 @@ pub mod vra;
 pub use context::{
     cfg_fingerprint, AnalysisStat, InductionClasses, Invalidation, PassContext, PassStat, Timings,
 };
-pub use dataflow::{solve, Direction, Problem, Solution};
+pub use dataflow::{solve, solve_from, Direction, Problem, Solution};
 pub use dom::{Dominators, PostDominators};
 pub use induction::{classify_function, InductionAnalysis, InductionClass};
 pub use loops::{insert_preheaders, insert_preheaders_with, LoopForest, LoopId, LoopInfo, LoopIv};

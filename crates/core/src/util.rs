@@ -85,6 +85,14 @@ impl BitSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
+    /// True if every element of `self` is in `other`.
+    pub fn is_subset(&self, other: &BitSet) -> bool {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(a, b)| a & !b == 0)
+    }
+
     /// True if no element is set.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|w| *w == 0)
@@ -145,6 +153,7 @@ mod tests {
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![65]);
+        assert!(i.is_subset(&a) && i.is_subset(&b) && !a.is_subset(&b));
         let mut d = a.clone();
         d.subtract(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![3]);

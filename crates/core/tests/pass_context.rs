@@ -7,10 +7,10 @@
 use nascent_analysis::context::PassContext;
 use nascent_ir::pretty::DisplayFunction;
 use nascent_rangecheck::{
-    elim, fold, inx, mcm, preheader, strength, CheckKind, ImplicationMode, JustLog,
-    OptimizeOptions, OptimizeStats, Scheme,
+    elim, fold, inx, mcm, optimize_program_logged_timed, preheader, strength, CheckKind,
+    ImplicationMode, JustLog, OptimizeOptions, OptimizeStats, Scheme,
 };
-use nascent_suite::{suite, Scale};
+use nascent_suite::{scaling_program, suite, Scale};
 
 /// LLS-style pipeline (INX rewrite, preheader hoist, eliminate, fold),
 /// every pass sharing `ctx`.
@@ -76,8 +76,8 @@ fn full_optimizer_agrees_across_schemes_and_kinds() {
                 let opts = OptimizeOptions::scheme(scheme).with_kind(kind);
                 let mut p1 = nascent_frontend::compile(&b.source).unwrap();
                 let mut p2 = nascent_frontend::compile(&b.source).unwrap();
-                let (s1, _, t1) = nascent_rangecheck::optimize_program_logged_timed(&mut p1, &opts);
-                let (s2, _, t2) = nascent_rangecheck::optimize_program_logged_timed(&mut p2, &opts);
+                let (s1, _, t1) = optimize_program_logged_timed(&mut p1, &opts);
+                let (s2, _, t2) = optimize_program_logged_timed(&mut p2, &opts);
                 assert_eq!(s1, s2, "{} {scheme:?} {kind:?}: stats diverged", b.name);
                 for (f1, f2) in p1.functions.iter().zip(&p2.functions) {
                     assert_eq!(
@@ -91,5 +91,24 @@ fn full_optimizer_agrees_across_schemes_and_kinds() {
                 assert_eq!(t2.stale_detections, 0, "{} {scheme:?}", b.name);
             }
         }
+    }
+}
+
+#[test]
+fn unique_defs_do_not_scale_with_the_loop_count() {
+    // the hoist pass computes unique definitions once, not once per loop
+    // that hoists: the count is the same for 8 loops as for 32
+    for scheme in [Scheme::Lls, Scheme::All] {
+        let opts = OptimizeOptions::scheme(scheme).with_kind(CheckKind::Inx);
+        let computed: Vec<u64> = [8, 32]
+            .into_iter()
+            .map(|k| {
+                let mut p = nascent_frontend::compile(&scaling_program(k)).unwrap();
+                let (_, _, timings) = optimize_program_logged_timed(&mut p, &opts);
+                timings.analyses["unique-defs"].computed
+            })
+            .collect();
+        assert_eq!(computed[0], computed[1], "{scheme:?} at k = 8, 32");
+        assert!(computed[0] <= 3, "{scheme:?}: {computed:?}");
     }
 }

@@ -54,6 +54,27 @@ pub fn random_program(seed: u64, cfg: &GenConfig) -> String {
     g.out
 }
 
+/// The scaling curve's program: `k` sequential loops of `k` array stores
+/// each (`2k²` naive checks), the shape of the benchmark's
+/// `scaling-certify` workload. The loop bound is held in a variable, so
+/// every hoisted check keeps its loop-entry guard.
+pub fn scaling_program(k: usize) -> String {
+    let n = 4 * k + 8;
+    let mut src = format!(
+        "program scale\n integer a({n})\n integer i, m\n m = {}\n",
+        n - k - 1
+    );
+    for li in 0..k {
+        src.push_str(" do i = 1, m\n");
+        for ai in 1..=k {
+            src.push_str(&format!("  a(i + {ai}) = i + {li}\n"));
+        }
+        src.push_str(" enddo\n");
+    }
+    src.push_str(" print a(1)\nend\n");
+    src
+}
+
 /// Generates a **discharge-friendly** program: every subscript is a
 /// constant, a counted loop variable whose range the declared bounds
 /// cover, or one step of indirection through a locally initialized map

@@ -32,7 +32,9 @@
 pub mod generator;
 pub mod programs;
 
-pub use generator::{discharge_friendly, discharge_hostile, random_program, GenConfig};
+pub use generator::{
+    discharge_friendly, discharge_hostile, random_program, scaling_program, GenConfig,
+};
 
 /// One benchmark program.
 #[derive(Debug, Clone)]

@@ -12,7 +12,7 @@ use nascent_rangecheck::{
     inx, optimize_program_logged, CheckKind, Discharge, DischargeReason, Event, ImplicationMode,
     OptimizeOptions, Scheme,
 };
-use nascent_suite::{random_program, test_suite, GenConfig};
+use nascent_suite::{random_program, scaling_program, test_suite, GenConfig};
 use nascent_verify::invariant::{self, Proved};
 use nascent_verify::{certify_program, Diagnostic};
 
@@ -684,25 +684,6 @@ fn rejects_forged_discharge_past_the_iteration_cap() {
         "diagnostic names the forged discharge: {:?}",
         cert.diagnostics
     );
-}
-
-/// `k` sequential loops of `k` stores each: the shape of the benchmark's
-/// scaling workload.
-fn scaling_program(k: usize) -> String {
-    let n = 4 * k + 8;
-    let mut src = format!(
-        "program scale\n integer a({n})\n integer i, m\n m = {}\n",
-        n - k - 1
-    );
-    for li in 0..k {
-        src.push_str(" do i = 1, m\n");
-        for ai in 1..=k {
-            src.push_str(&format!("  a(i + {ai}) = i + {li}\n"));
-        }
-        src.push_str(" enddo\n");
-    }
-    src.push_str(" print a(1)\nend\n");
-    src
 }
 
 /// Under ALL, LLS hoists each loop's lower check as the constant-true
