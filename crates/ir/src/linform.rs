@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::expr::{BinOp, Expr, UnOp};
+use crate::pretty::{write_expr, VarNamer};
 use crate::stmt::VarId;
 
 /// A multiplicative atom: a variable or an opaque non-affine subexpression.
@@ -356,46 +357,54 @@ impl LinForm {
     }
 }
 
-impl fmt::Display for LinForm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl LinForm {
+    /// Writes the form, naming each variable through `name`; opaque atoms
+    /// appear in brackets, rendered by [`crate::pretty::write_expr`].
+    pub fn write_with(&self, out: &mut dyn fmt::Write, name: &VarNamer<'_>) -> fmt::Result {
         let mut first = true;
         for (t, c) in self.terms() {
             if first {
                 if c < 0 {
-                    write!(f, "-")?;
+                    out.write_str("-")?;
                 }
                 first = false;
             } else if c < 0 {
-                write!(f, " - ")?;
+                out.write_str(" - ")?;
             } else {
-                write!(f, " + ")?;
+                out.write_str(" + ")?;
             }
             let mag = c.unsigned_abs();
             if mag != 1 {
-                write!(f, "{mag}*")?;
+                write!(out, "{mag}*")?;
             }
-            let mut first_atom = true;
-            for a in t.atoms() {
-                if !first_atom {
-                    write!(f, "*")?;
+            for (i, a) in t.atoms().iter().enumerate() {
+                if i > 0 {
+                    out.write_str("*")?;
                 }
-                first_atom = false;
                 match a {
-                    Atom::Var(v) => write!(f, "{v}")?,
-                    Atom::Opaque(e) => write!(f, "[{e:?}]")?,
+                    Atom::Var(v) => name(out, *v)?,
+                    Atom::Opaque(e) => {
+                        out.write_str("[")?;
+                        write_expr(out, e, name)?;
+                        out.write_str("]")?;
+                    }
                 }
             }
         }
         if first {
-            write!(f, "{}", self.constant)?;
-        } else if self.constant != 0 {
-            if self.constant < 0 {
-                write!(f, " - {}", self.constant.unsigned_abs())?;
-            } else {
-                write!(f, " + {}", self.constant)?;
-            }
+            write!(out, "{}", self.constant)?;
+        } else if self.constant < 0 {
+            write!(out, " - {}", self.constant.unsigned_abs())?;
+        } else if self.constant > 0 {
+            write!(out, " + {}", self.constant)?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for LinForm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_with(f, &|out, v| write!(out, "{v}"))
     }
 }
 

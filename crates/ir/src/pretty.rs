@@ -4,25 +4,67 @@
 use std::fmt;
 
 use crate::cfg::{BlockId, Function, Program};
-use crate::expr::Expr;
-use crate::stmt::{Arg, Stmt, Terminator};
+use crate::expr::{BinOp, Expr, UnOp};
+use crate::stmt::{Arg, Stmt, Terminator, VarId};
 
 /// Pretty-prints an expression with variable names resolved from `f`.
 pub fn expr_to_string(f: &Function, e: &Expr) -> String {
+    let mut out = String::new();
+    let _ = write_expr(&mut out, e, &|out, v| {
+        out.write_str(&f.vars[v.index()].name)
+    });
+    out
+}
+
+/// Writes `e` in MiniF syntax, naming each variable through `name`: `min`,
+/// `max` and `mod` as calls, with bare arguments; every other operator
+/// parenthesized. The one expression renderer: [`expr_to_string`] names
+/// variables from the function, and [`crate::LinForm`]'s `Display` writes
+/// opaque atoms with `vN` names.
+pub fn write_expr(out: &mut dyn fmt::Write, e: &Expr, name: &VarNamer<'_>) -> fmt::Result {
+    write_expr_in(out, e, name, false)
+}
+
+/// Writes a variable's name into the output.
+pub type VarNamer<'a> = dyn Fn(&mut dyn fmt::Write, VarId) -> fmt::Result + 'a;
+
+fn write_expr_in(
+    out: &mut dyn fmt::Write,
+    e: &Expr,
+    name: &VarNamer<'_>,
+    bare: bool,
+) -> fmt::Result {
     match e {
-        Expr::IntConst(v) => v.to_string(),
-        Expr::RealConst(r) => r.to_string(),
-        Expr::Var(v) => f.vars[v.index()].name.clone(),
-        Expr::Unary(op, inner) => match op {
-            crate::expr::UnOp::Neg => format!("(-{})", expr_to_string(f, inner)),
-            crate::expr::UnOp::Not => format!("(not {})", expr_to_string(f, inner)),
-        },
-        Expr::Binary(op, l, r) => format!(
-            "({} {} {})",
-            expr_to_string(f, l),
-            op.symbol(),
-            expr_to_string(f, r)
-        ),
+        Expr::IntConst(v) => write!(out, "{v}"),
+        Expr::RealConst(r) => write!(out, "{r}"),
+        Expr::Var(v) => name(out, *v),
+        Expr::Unary(op, inner) => {
+            out.write_str(match op {
+                UnOp::Neg => "(-",
+                UnOp::Not => "(not ",
+            })?;
+            write_expr_in(out, inner, name, false)?;
+            out.write_str(")")
+        }
+        Expr::Binary(op @ (BinOp::Min | BinOp::Max | BinOp::Mod), l, r) => {
+            write!(out, "{}(", op.symbol())?;
+            write_expr_in(out, l, name, true)?;
+            out.write_str(", ")?;
+            write_expr_in(out, r, name, true)?;
+            out.write_str(")")
+        }
+        Expr::Binary(op, l, r) => {
+            if !bare {
+                out.write_str("(")?;
+            }
+            write_expr_in(out, l, name, false)?;
+            write!(out, " {} ", op.symbol())?;
+            write_expr_in(out, r, name, false)?;
+            if !bare {
+                out.write_str(")")?;
+            }
+            Ok(())
+        }
     }
 }
 
@@ -91,47 +133,7 @@ pub fn check_to_string(f: &Function, c: &crate::Check) -> String {
 /// Renders a canonical form with source-level variable names.
 pub fn linform_to_string(f: &Function, form: &crate::LinForm) -> String {
     let mut out = String::new();
-    let mut first = true;
-    for (t, c) in form.terms() {
-        if first {
-            if c < 0 {
-                out.push('-');
-            }
-            first = false;
-        } else if c < 0 {
-            out.push_str(" - ");
-        } else {
-            out.push_str(" + ");
-        }
-        let mag = c.unsigned_abs();
-        if mag != 1 {
-            out.push_str(&format!("{mag}*"));
-        }
-        let mut first_atom = true;
-        for a in t.atoms() {
-            if !first_atom {
-                out.push('*');
-            }
-            first_atom = false;
-            match a {
-                crate::Atom::Var(v) => out.push_str(&f.vars[v.index()].name),
-                crate::Atom::Opaque(e) => {
-                    out.push('[');
-                    out.push_str(&expr_to_string(f, e));
-                    out.push(']');
-                }
-            }
-        }
-    }
-    if first {
-        out.push_str(&form.constant_part().to_string());
-    } else if form.constant_part() != 0 {
-        if form.constant_part() < 0 {
-            out.push_str(&format!(" - {}", form.constant_part().unsigned_abs()));
-        } else {
-            out.push_str(&format!(" + {}", form.constant_part()));
-        }
-    }
+    let _ = form.write_with(&mut out, &|out, v| out.write_str(&f.vars[v.index()].name));
     out
 }
 
@@ -228,5 +230,33 @@ mod tests {
         assert!(s.contains("Check ("));
         assert!(s.contains("a(i) = 0"));
         assert_eq!(checks_to_strings(&f).len(), 1);
+    }
+
+    #[test]
+    fn opaque_atoms_print_as_minif() {
+        let mut b = FunctionBuilder::new("p");
+        for name in ["w", "x", "y", "k"] {
+            b.var(name, Ty::Int);
+        }
+        let f = b.finish();
+        let k = VarId(3);
+        let call = |op, l, r| Expr::Binary(op, Box::new(l), Box::new(r));
+        // min(max(k + 1, 0), 9) and mod(k, 2): calls with bare arguments
+        let clamp = call(
+            BinOp::Min,
+            call(
+                BinOp::Max,
+                Expr::add(Expr::var(k), Expr::int(1)),
+                Expr::int(0),
+            ),
+            Expr::int(9),
+        );
+        let form = crate::LinForm::from_expr(&clamp).scale(-1);
+        assert_eq!(form.to_string(), "-[min(max(v3 + 1, 0), 9)]");
+        assert_eq!(linform_to_string(&f, &form), "-[min(max(k + 1, 0), 9)]");
+        let parity = Expr::add(call(BinOp::Mod, Expr::var(k), Expr::int(2)), Expr::int(1));
+        assert_eq!(expr_to_string(&f, &parity), "(mod(k, 2) + 1)");
+        let half = crate::LinForm::from_expr(&call(BinOp::Div, Expr::var(k), Expr::int(2)));
+        assert_eq!(half.to_string(), "[(v3 / 2)]");
     }
 }
