@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use nascent_analysis::context::PassContext;
 use nascent_frontend::compile;
@@ -15,6 +15,7 @@ use nascent_interp::{
     Value,
 };
 use nascent_ir::Program;
+use nascent_obs::trace::timed_span;
 use nascent_rangecheck::{
     CheckKind, ImplicationMode, OptimizeOptions, OptimizeStats, Scheme, Timings,
 };
@@ -89,9 +90,9 @@ pub struct PreparedBenchmark {
 /// Panics if the benchmark fails to compile or run — the suite is
 /// expected to be trap-free.
 pub fn prepare(b: &Benchmark) -> PreparedBenchmark {
-    let t0 = Instant::now();
+    let sp = timed_span("compile", "harness");
     let checked = compile(&b.source).expect("benchmark compiles");
-    let compile_time = t0.elapsed();
+    let compile_time = sp.finish();
     let lowered = lower(&checked);
     let naive = run_compiled(&lowered, &harness_limits()).expect("benchmark runs");
     assert!(naive.trap.is_none(), "{} trapped", b.name);
@@ -442,7 +443,7 @@ pub fn run_matrix(
     let threads = matrix_threads(pairs.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<MatrixCell>>> = pairs.iter().map(|_| Mutex::new(None)).collect();
-    let wall0 = Instant::now();
+    let wall = timed_span("matrix", "harness");
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
@@ -452,19 +453,19 @@ pub fn run_matrix(
                 };
                 let pb = &prepared[bench_index];
                 let cfg = &configs[config_index];
-                let cell0 = Instant::now();
+                let sp = timed_span("matrix-cell", "harness");
                 let (result, certificate) = cell(pb, &cfg.opts, mode);
                 *slots[i].lock().expect("slot lock") = Some(MatrixCell {
                     config_index,
                     bench_index,
                     result,
                     certificate,
-                    wall: cell0.elapsed(),
+                    wall: sp.finish(),
                 });
             });
         }
     });
-    let wall_time = wall0.elapsed();
+    let wall_time = wall.finish();
     let mut cells: Vec<MatrixCell> = slots
         .into_iter()
         .map(|m| m.into_inner().expect("slot lock").expect("cell computed"))
