@@ -34,6 +34,7 @@ pub mod builder;
 pub mod cfg;
 pub mod check;
 pub mod expr;
+pub mod fxhash;
 pub mod linform;
 pub mod pretty;
 pub mod stmt;
@@ -43,5 +44,6 @@ pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use cfg::{Block, BlockId, Function, Program};
 pub use check::{Check, CheckExpr};
 pub use expr::{BinOp, Expr, Ty, UnOp, R64};
+pub use fxhash::FxHashMap;
 pub use linform::{Atom, LinForm, Term};
 pub use stmt::{Arg, ArrayId, ArrayInfo, FuncId, Param, Stmt, Terminator, VarId, VarInfo};

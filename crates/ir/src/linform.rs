@@ -9,6 +9,7 @@
 //! are syntactically different (`i+1 <= 4*n` vs `i - 4*n <= -1`) become
 //! structurally identical, so they land in the same check *family*.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -74,6 +75,15 @@ impl Term {
         self.0.iter().flat_map(Atom::vars).collect()
     }
 
+    /// True if some atom of the term is `v` or an opaque subexpression
+    /// that reads `v`.
+    pub fn uses_var(&self, v: VarId) -> bool {
+        self.0.iter().any(|a| match a {
+            Atom::Var(w) => *w == v,
+            Atom::Opaque(e) => e.uses_var(v),
+        })
+    }
+
     /// True if the term is exactly the single variable `v`.
     pub fn is_var(&self, v: VarId) -> bool {
         self.0.len() == 1 && self.0[0] == Atom::Var(v)
@@ -132,18 +142,18 @@ impl LinForm {
         if coeff == 0 {
             return;
         }
-        let entry = self.terms.entry(term).or_insert(0);
-        *entry = entry.wrapping_add(coeff);
-        if *entry == 0 {
-            // remove the now-zero coefficient to keep canonicity
-            let dead: Vec<Term> = self
-                .terms
-                .iter()
-                .filter(|(_, c)| **c == 0)
-                .map(|(t, _)| t.clone())
-                .collect();
-            for t in dead {
-                self.terms.remove(&t);
+        match self.terms.entry(term) {
+            Entry::Vacant(e) => {
+                e.insert(coeff);
+            }
+            Entry::Occupied(mut e) => {
+                let sum = e.get().wrapping_add(coeff);
+                if sum == 0 {
+                    // remove the cancelled term to keep canonicity
+                    e.remove();
+                } else {
+                    *e.get_mut() = sum;
+                }
             }
         }
     }
@@ -208,6 +218,8 @@ impl LinForm {
                 .terms
                 .iter()
                 .map(|(t, c)| (t.clone(), c.wrapping_mul(k)))
+                // a product that wraps to zero is no term
+                .filter(|(_, c)| *c != 0)
                 .collect(),
             constant: self.constant.wrapping_mul(k),
         }
@@ -246,7 +258,7 @@ impl LinForm {
 
     /// True if any term references variable `v`.
     pub fn uses_var(&self, v: VarId) -> bool {
-        self.terms.keys().any(|t| t.vars().contains(&v))
+        self.terms.keys().any(|t| t.uses_var(v))
     }
 
     /// The symbolic part only (constant zeroed) — this is the *family key*
@@ -437,6 +449,17 @@ mod tests {
         let a = LinForm::var(v(0)).sub(&LinForm::var(v(0)));
         assert!(a.is_constant());
         assert_eq!(a, LinForm::zero());
+    }
+
+    #[test]
+    fn cancelling_one_term_keeps_the_others() {
+        let mut f = LinForm::from_terms([(Term::var(v(0)), 2), (Term::var(v(1)), 3)], 4);
+        f.add_term(Term::var(v(0)), -2);
+        assert_eq!(f, LinForm::var(v(1)).scale(3).add(&LinForm::constant(4)));
+        assert!(!f.uses_var(v(0)) && f.uses_var(v(1)));
+        // a coefficient that wraps to zero under scaling is dropped
+        let big = LinForm::from_terms([(Term::var(v(0)), 1 << 62), (Term::var(v(1)), 1)], 0);
+        assert_eq!(big.scale(4), LinForm::var(v(1)).scale(4));
     }
 
     #[test]
