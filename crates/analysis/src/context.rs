@@ -406,8 +406,10 @@ impl PassContext {
             return Arc::clone(v);
         }
         let forest = self.loop_forest(f);
-        let sp = timed_span("vra", "analysis");
+        let mut sp = timed_span("vra", "analysis");
         let v = Arc::new(crate::vra::analyze_with_forest(f, &forest));
+        sp.attr("visits", v.visits);
+        sp.attr("capped", u32::from(v.capped));
         self.timings.record_compute("vra", sp.finish());
         self.cache.vra = Some(Arc::clone(&v));
         v

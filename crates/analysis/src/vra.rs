@@ -29,11 +29,37 @@
 //! function ([`Env::step_with`], [`Env::assume_cond`]) and the lattice
 //! order ([`Env::entails`]), so widening, the worklist order and the
 //! iteration cap can be changed without touching its trusted base.
+//!
+//! # Representation
+//!
+//! An [`Env`] is a dense vector of per-variable slots indexed by
+//! [`VarId`]: a slot holds the variable's interval and its two symbolic
+//! bounds, and an empty slot (or one past the end of the vector) means
+//! top. Equality compares slot by slot and treats a missing slot as an
+//! empty one, so a state whose facts were all removed equals
+//! [`Env::top`] however long its vector grew. Symbolic bounds sit behind
+//! [`Arc`]: cloning a state, as the fixpoint does at every block visit,
+//! copies pointers, and two states derived from one fact compare equal
+//! by pointer. (`Arc` rather than `Rc` keeps [`Vra`] `Send` and `Sync`,
+//! as the analysis cache's shared results are; the two cost the same
+//! here.) Bounds on a form are summed term by term from the stored
+//! facts, without building the negated form or the form minus one term,
+//! and a symbolic refinement equal to the bound already stored leaves
+//! the state untouched. These are the same facts, lattice operations and
+//! bound computations as a map-per-fact state, so every result is the
+//! same.
+//!
+//! [`Vra`] also reports how many block visits its two fixpoint phases
+//! made and whether either ran into the iteration cap, which sets every
+//! state to top; the `vra` analysis span and the certifier's `vra-ref`
+//! and `vra-opt` spans carry both as the `visits` and `capped` (0 or 1)
+//! attributes.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use nascent_ir::{
-    Arg, ArrayId, Atom, BinOp, BlockId, CheckExpr, Expr, Function, LinForm, Param, Stmt, Term,
+    Arg, ArrayId, Atom, BinOp, BlockId, CheckExpr, Expr, Function, LinForm, Param, Stmt,
     Terminator, Ty, UnOp, VarId,
 };
 
@@ -76,16 +102,54 @@ impl Interval {
 /// Recursion budget for chasing symbolic bounds in [`Env::verdict`].
 const SYM_DEPTH: u32 = 3;
 
-/// The abstract state at one program point.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A shared symbolic bound.
+type Bound = Option<Arc<LinForm>>;
+
+/// What a state knows about one variable; the default slot knows nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Slot {
+    interval: Interval,
+    /// `v <= form`
+    upper: Bound,
+    /// `form <= v`
+    lower: Bound,
+}
+
+impl Slot {
+    fn is_top(&self) -> bool {
+        self.interval == Interval::top() && self.upper.is_none() && self.lower.is_none()
+    }
+}
+
+/// `a` when both bounds are the same fact, otherwise nothing.
+fn same(a: &Bound, b: &Bound) -> Bound {
+    if a == b {
+        a.clone()
+    } else {
+        None
+    }
+}
+
+/// The abstract state at one program point (see the module docs for the
+/// representation).
+#[derive(Debug, Clone, Default)]
 pub struct Env {
-    intervals: HashMap<VarId, Interval>,
-    /// `v <= form` facts.
-    sym_upper: HashMap<VarId, LinForm>,
-    /// `form <= v` facts.
-    sym_lower: HashMap<VarId, LinForm>,
+    /// `slots[v.index()]`; missing slots are top.
+    slots: Vec<Slot>,
     /// Unreachable state (e.g. after a `TRAP` or a contradiction).
     pub bottom: bool,
+}
+
+impl PartialEq for Env {
+    fn eq(&self, other: &Env) -> bool {
+        let n = self.slots.len().max(other.slots.len());
+        self.bottom == other.bottom
+            && (0..n).all(|i| match (self.slots.get(i), other.slots.get(i)) {
+                (Some(a), Some(b)) => a == b,
+                (Some(s), None) | (None, Some(s)) => s.is_top(),
+                (None, None) => true,
+            })
+    }
 }
 
 impl Env {
@@ -104,14 +168,31 @@ impl Env {
 
     /// The interval currently known for `v`.
     pub fn interval(&self, v: VarId) -> Interval {
-        self.intervals.get(&v).copied().unwrap_or_default()
+        self.slots
+            .get(v.index())
+            .map_or(Interval::top(), |s| s.interval)
+    }
+
+    fn upper_bound(&self, v: VarId) -> Option<&Arc<LinForm>> {
+        self.slots.get(v.index())?.upper.as_ref()
+    }
+
+    fn lower_bound(&self, v: VarId) -> Option<&Arc<LinForm>> {
+        self.slots.get(v.index())?.lower.as_ref()
+    }
+
+    /// `v`'s slot, growing the vector when `v` has none yet.
+    fn slot_mut(&mut self, v: VarId) -> &mut Slot {
+        let i = v.index();
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, Slot::default);
+        }
+        &mut self.slots[i]
     }
 
     fn set_interval(&mut self, v: VarId, i: Interval) {
-        if i == Interval::top() {
-            self.intervals.remove(&v);
-        } else {
-            self.intervals.insert(v, i);
+        if i != Interval::top() || v.index() < self.slots.len() {
+            self.slot_mut(v).interval = i;
         }
     }
 
@@ -141,10 +222,16 @@ impl Env {
 
     /// Forgets symbolic bounds that mention `v` (on either side).
     fn kill_sym_mentioning(&mut self, v: VarId) {
-        self.sym_upper
-            .retain(|var, form| *var != v && !form.uses_var(v));
-        self.sym_lower
-            .retain(|var, form| *var != v && !form.uses_var(v));
+        let mentions = |own: bool, b: &Bound| b.as_ref().is_some_and(|f| own || f.uses_var(v));
+        for (i, s) in self.slots.iter_mut().enumerate() {
+            let own = i == v.index();
+            if mentions(own, &s.upper) {
+                s.upper = None;
+            }
+            if mentions(own, &s.lower) {
+                s.lower = None;
+            }
+        }
     }
 
     /// Join (control-flow merge). Bottom is the identity.
@@ -155,23 +242,20 @@ impl Env {
         if other.bottom {
             return self.clone();
         }
-        let mut intervals = HashMap::new();
-        for (v, i) in &self.intervals {
-            let j = i.join(other.interval(*v));
-            if j != Interval::top() {
-                intervals.insert(*v, j);
-            }
-        }
-        let keep_equal = |a: &HashMap<VarId, LinForm>, b: &HashMap<VarId, LinForm>| {
-            a.iter()
-                .filter(|(v, f)| b.get(v) == Some(f))
-                .map(|(v, f)| (*v, f.clone()))
-                .collect::<HashMap<_, _>>()
-        };
+        // a variable with a slot on one side only is top on the other, and
+        // joins to top
+        let slots = self
+            .slots
+            .iter()
+            .zip(&other.slots)
+            .map(|(a, b)| Slot {
+                interval: a.interval.join(b.interval),
+                upper: same(&a.upper, &b.upper),
+                lower: same(&a.lower, &b.lower),
+            })
+            .collect();
         Env {
-            intervals,
-            sym_upper: keep_equal(&self.sym_upper, &other.sym_upper),
-            sym_lower: keep_equal(&self.sym_lower, &other.sym_lower),
+            slots,
             bottom: false,
         }
     }
@@ -183,28 +267,41 @@ impl Env {
         if self.bottom || prev.bottom {
             return;
         }
-        let vars: Vec<VarId> = self.intervals.keys().copied().collect();
-        for v in vars {
-            let cur = self.interval(v);
-            let old = prev.interval(v);
-            let w = Interval {
-                lo: if cur.lo == old.lo { cur.lo } else { None },
-                hi: if cur.hi == old.hi { cur.hi } else { None },
+        for (i, s) in self.slots.iter_mut().enumerate() {
+            let old = prev.slots.get(i);
+            let old_iv = old.map_or(Interval::top(), |o| o.interval);
+            let cur = s.interval;
+            s.interval = Interval {
+                lo: if cur.lo == old_iv.lo { cur.lo } else { None },
+                hi: if cur.hi == old_iv.hi { cur.hi } else { None },
             };
-            self.set_interval(v, w);
+            if old.and_then(|o| o.upper.as_ref()) != s.upper.as_ref() {
+                s.upper = None;
+            }
+            if old.and_then(|o| o.lower.as_ref()) != s.lower.as_ref() {
+                s.lower = None;
+            }
         }
-        self.sym_upper
-            .retain(|v, f| prev.sym_upper.get(v) == Some(f));
-        self.sym_lower
-            .retain(|v, f| prev.sym_lower.get(v) == Some(f));
     }
 
-    /// Best constant upper bound on the value of `form`, chasing symbolic
-    /// bounds up to `depth` substitutions.
-    fn upper(&self, form: &LinForm, depth: u32) -> Option<i64> {
-        let mut acc: i64 = form.constant_part();
+    /// Best constant upper bound on `sign·form`, chasing symbolic bounds
+    /// up to `depth` substitutions. `sign` is 1 or -1 and negates the
+    /// constant and each coefficient with the wrapping of
+    /// [`LinForm::neg`]; the degree-1 term of `skip`, if any, is left
+    /// out. Terms are summed in canonical order, so the bound is the one
+    /// computed on the negated or reduced form itself.
+    fn upper_scaled(
+        &self,
+        form: &LinForm,
+        sign: i64,
+        skip: Option<VarId>,
+        depth: u32,
+    ) -> Option<i64> {
+        let mut acc = form.constant_part().wrapping_mul(sign);
         for (t, c) in form.terms() {
+            let c = c.wrapping_mul(sign);
             let var_bound = match t.atoms() {
+                [Atom::Var(v)] if skip == Some(*v) => continue,
                 [Atom::Var(v)] => {
                     if c > 0 {
                         self.var_upper(*v, depth)
@@ -219,15 +316,20 @@ impl Env {
         Some(acc)
     }
 
+    /// Best constant upper bound on the value of `form`.
+    fn upper(&self, form: &LinForm, depth: u32) -> Option<i64> {
+        self.upper_scaled(form, 1, None, depth)
+    }
+
     /// Best constant lower bound on the value of `form`.
     fn lower(&self, form: &LinForm, depth: u32) -> Option<i64> {
-        self.upper(&form.neg(), depth)?.checked_neg()
+        self.upper_scaled(form, -1, None, depth)?.checked_neg()
     }
 
     fn var_upper(&self, v: VarId, depth: u32) -> Option<i64> {
         let mut best = self.interval(v).hi;
         if depth > 0 {
-            if let Some(f) = self.sym_upper.get(&v) {
+            if let Some(f) = self.upper_bound(v) {
                 if let Some(b) = self.upper(f, depth - 1) {
                     best = Some(best.map_or(b, |x| x.min(b)));
                 }
@@ -239,7 +341,7 @@ impl Env {
     fn var_lower(&self, v: VarId, depth: u32) -> Option<i64> {
         let mut best = self.interval(v).lo;
         if depth > 0 {
-            if let Some(f) = self.sym_lower.get(&v) {
+            if let Some(f) = self.lower_bound(v) {
                 if let Some(b) = self.lower(f, depth - 1) {
                     best = Some(best.map_or(b, |x| x.max(b)));
                 }
@@ -285,25 +387,25 @@ impl Env {
         if other.bottom {
             return false;
         }
-        let bounded = |(v, iv): (&VarId, &Interval)| {
-            let lo = self.var_lower(*v, SYM_DEPTH);
-            let hi = self.var_upper(*v, SYM_DEPTH);
-            iv.lo.is_none_or(|b| lo.is_some_and(|x| x >= b))
-                && iv.hi.is_none_or(|b| hi.is_some_and(|x| x <= b))
-        };
-        // `le` is the fact as `form <= 0`
-        let holds = |mine: &HashMap<VarId, LinForm>, v: &VarId, f: &LinForm, le: LinForm| {
-            mine.get(v) == Some(f) || self.le_verdict(&le, 0) == Some(true)
-        };
-        other.intervals.iter().all(bounded)
-            && other
-                .sym_upper
-                .iter()
-                .all(|(v, f)| holds(&self.sym_upper, v, f, LinForm::var(*v).sub(f)))
-            && other
-                .sym_lower
-                .iter()
-                .all(|(v, f)| holds(&self.sym_lower, v, f, f.sub(&LinForm::var(*v))))
+        other.slots.iter().enumerate().all(|(i, s)| {
+            let v = VarId(i as u32);
+            let iv = s.interval;
+            iv.lo
+                .is_none_or(|b| self.var_lower(v, SYM_DEPTH).is_some_and(|x| x >= b))
+                && iv
+                    .hi
+                    .is_none_or(|b| self.var_upper(v, SYM_DEPTH).is_some_and(|x| x <= b))
+                // `v <= f` as `v - f <= 0`
+                && s.upper.as_ref().is_none_or(|f| {
+                    self.upper_bound(v) == Some(f)
+                        || self.le_verdict(&LinForm::var(v).sub(f), 0) == Some(true)
+                })
+                // `f <= v` as `f - v <= 0`
+                && s.lower.as_ref().is_none_or(|f| {
+                    self.lower_bound(v) == Some(f)
+                        || self.le_verdict(&f.sub(&LinForm::var(v)), 0) == Some(true)
+                })
+        })
     }
 
     /// Decides a canonical check at this point: `Some(true)` when
@@ -370,18 +472,16 @@ impl Env {
         // refine each degree-1 variable using bounds on the other terms
         // (an i64::MIN coefficient has no negation; skip it rather than
         // wrap)
-        let targets: Vec<(VarId, i64)> = form
-            .terms()
-            .filter_map(|(t, c)| match t.atoms() {
-                [Atom::Var(v)] if c != i64::MIN => Some((*v, c)),
-                _ => None,
-            })
-            .collect();
+        let targets = form.terms().filter_map(|(t, c)| match t.atoms() {
+            [Atom::Var(v)] if c != i64::MIN => Some((*v, c)),
+            _ => None,
+        });
         for (v, c) in targets {
             // c*v <= bound - rest, where rest = form - c*v
-            let mut rest = form.clone();
-            rest.add_term(Term::var(v), -c);
-            if let Some(rest_lo) = self.lower(&rest, SYM_DEPTH) {
+            let rest_lo = self
+                .upper_scaled(form, -1, Some(v), SYM_DEPTH)
+                .and_then(i64::checked_neg);
+            if let Some(rest_lo) = rest_lo {
                 if let Some(num) = bound.checked_sub(rest_lo) {
                     let mut iv = self.interval(v);
                     if c > 0 {
@@ -407,18 +507,49 @@ impl Env {
                 }
             }
             // symbolic refinement for unit coefficients
-            if c == 1 {
-                // v <= bound - rest
-                let ub = LinForm::constant(bound).sub(&rest);
-                if !ub.uses_var(v) {
-                    self.sym_upper.insert(v, ub);
-                }
-            } else if c == -1 {
-                // rest - bound <= v
-                let lb = rest.sub(&LinForm::constant(bound));
-                if !lb.uses_var(v) {
-                    self.sym_lower.insert(v, lb);
-                }
+            if c == 1 || c == -1 {
+                self.refine_sym(v, c, form, bound);
+            }
+        }
+    }
+
+    /// The symbolic half of [`Env::assume_le`] for a unit coefficient `c`
+    /// of `v` in `form`: with `rest = form - c·v`, records `v <= bound -
+    /// rest` (`c = 1`) or `rest - bound <= v` (`c = -1`) unless the bound
+    /// mentions `v`. The bound's terms are `rest`'s scaled by `-c`, with
+    /// the wrapping of [`LinForm::sub`]; a bound equal to the stored one
+    /// is not rebuilt.
+    fn refine_sym(&mut self, v: VarId, c: i64, form: &LinForm, bound: i64) {
+        let rest = || form.terms().filter(move |(t, _)| !t.is_var(v));
+        if rest().any(|(t, _)| t.uses_var(v)) {
+            return;
+        }
+        let k = form.constant_part();
+        let (scale, constant) = if c == 1 {
+            (-1, bound.wrapping_add(k.wrapping_mul(-1)))
+        } else {
+            (1, k.wrapping_add(bound.wrapping_mul(-1)))
+        };
+        let slot = self.slot_mut(v);
+        let stored = if c == 1 {
+            &mut slot.upper
+        } else {
+            &mut slot.lower
+        };
+        let unchanged = stored.as_deref().is_some_and(|f| {
+            f.constant_part() == constant
+                && f.num_terms() + 1 == form.num_terms()
+                && f.terms()
+                    .zip(rest())
+                    .all(|((t, a), (u, b))| t == u && a == b.wrapping_mul(scale))
+        });
+        if !unchanged {
+            let terms = rest().map(|(t, b)| (t.clone(), b.wrapping_mul(scale)));
+            let bound = LinForm::from_terms(terms, constant);
+            // a bound no other state shares is overwritten in place
+            match stored.as_mut().and_then(Arc::get_mut) {
+                Some(f) => *f = bound,
+                None => *stored = Some(Arc::new(bound)),
             }
         }
     }
@@ -443,8 +574,10 @@ impl Env {
                         .terms()
                         .all(|(t, _)| matches!(t.atoms(), [Atom::Var(_)]))
                 {
-                    self.sym_upper.insert(*var, form.clone());
-                    self.sym_lower.insert(*var, form);
+                    let form = Arc::new(form);
+                    let slot = self.slot_mut(*var);
+                    slot.upper = Some(Arc::clone(&form));
+                    slot.lower = Some(form);
                 }
             }
             Stmt::Load { var, array, .. } => {
@@ -529,27 +662,14 @@ impl Env {
         if self.bottom {
             return false;
         }
-        for (v, iv) in &self.intervals {
-            match vals.get(v) {
-                Some(x) if iv.contains(*x) => {}
-                _ => return false,
-            }
-        }
-        for (v, f) in &self.sym_upper {
-            if let (Some(x), Some(b)) = (vals.get(v), eval_form(f, vals)) {
-                if *x > b {
-                    return false;
-                }
-            }
-        }
-        for (v, f) in &self.sym_lower {
-            if let (Some(x), Some(b)) = (vals.get(v), eval_form(f, vals)) {
-                if b > *x {
-                    return false;
-                }
-            }
-        }
-        true
+        self.slots.iter().enumerate().all(|(i, s)| {
+            let x = vals.get(&VarId(i as u32));
+            // a bound that does not evaluate is skipped
+            let bound = |f: &Bound| f.as_ref().and_then(|f| eval_form(f, vals));
+            (s.interval == Interval::top() || x.is_some_and(|x| s.interval.contains(*x)))
+                && x.zip(bound(&s.upper)).is_none_or(|(x, b)| *x <= b)
+                && x.zip(bound(&s.lower)).is_none_or(|(x, b)| b <= *x)
+        })
     }
 }
 
@@ -592,6 +712,11 @@ pub struct Vra {
     /// private integer array (see [`analyze`]); the states inside a block
     /// come from stepping its entry state with these summaries.
     pub load_ranges: HashMap<ArrayId, Interval>,
+    /// Block visits made by the fixpoint, both phases together.
+    pub visits: u32,
+    /// Whether a phase ran into the iteration cap, which sets every
+    /// state to top: the visits bought no facts.
+    pub capped: bool,
 }
 
 /// Trip-count facts per loop body entry: each `(form, bound)` is a fact
@@ -642,16 +767,24 @@ pub fn analyze(f: &Function) -> Vra {
 pub fn analyze_with_forest(f: &Function, forest: &LoopForest) -> Vra {
     let loop_facts = trip_facts(forest);
     // phase 1: loads are unknown
-    let entry = fixpoint(f, &loop_facts, &HashMap::new());
+    let (entry, visits, capped) = fixpoint(f, &loop_facts, &HashMap::new());
     // per-array range summaries from the (sound, load-agnostic) phase-1
     // states
     let load_ranges = array_summaries(f, &entry);
-    if load_ranges.is_empty() {
-        return Vra { entry, load_ranges };
+    let mut vra = Vra {
+        entry,
+        load_ranges,
+        visits,
+        capped,
+    };
+    if !vra.load_ranges.is_empty() {
+        // phase 2: loads from summarized arrays are range-refined
+        let (entry, visits, capped) = fixpoint(f, &loop_facts, &vra.load_ranges);
+        vra.entry = entry;
+        vra.visits += visits;
+        vra.capped |= capped;
     }
-    // phase 2: loads from summarized arrays are range-refined
-    let entry = fixpoint(f, &loop_facts, &load_ranges);
-    Vra { entry, load_ranges }
+    vra
 }
 
 /// The integer arrays *private* to `f`: declared locally, not a
@@ -714,28 +847,30 @@ fn array_summaries(f: &Function, entry: &[Env]) -> HashMap<ArrayId, Interval> {
 }
 
 /// One worklist fixpoint over `f` with the given trip-count facts and
-/// load summaries.
+/// load summaries: the entry states, the block visits made, and whether
+/// the iteration cap fired.
 fn fixpoint(
     f: &Function,
     loop_facts: &TripFacts,
     load_ranges: &HashMap<ArrayId, Interval>,
-) -> Vec<Env> {
+) -> (Vec<Env>, u32, bool) {
     let n = f.blocks.len();
     let mut entry: Vec<Env> = vec![Env::unreachable(); n];
     entry[f.entry.index()] = Env::top();
     let mut changes: Vec<u32> = vec![0; n];
     let mut work: Vec<usize> = vec![f.entry.index()];
-    let mut budget = iteration_cap(f);
+    let cap = iteration_cap(f);
+    let mut visits = 0;
 
     while let Some(bi) = work.pop() {
-        if budget == 0 {
+        if visits == cap {
             // backstop: degrade every block to top and stop. A block the
             // worklist has not reached yet still holds the initial
             // `unreachable` state, which would prove every check in it
             entry.fill(Env::top());
-            break;
+            return (entry, visits, true);
         }
-        budget -= 1;
+        visits += 1;
         let b = BlockId(bi as u32);
         let mut env = entry[bi].clone();
         for s in &f.block(b).stmts {
@@ -778,7 +913,7 @@ fn fixpoint(
             }
         }
     }
-    entry
+    (entry, visits, false)
 }
 
 #[cfg(test)]
@@ -988,6 +1123,146 @@ end
         env.assume_le(&LinForm::var(VarId(0)), i64::MAX);
         assert_eq!(env.interval(VarId(0)).hi, Some(i64::MAX));
         assert!(!env.bottom);
+    }
+
+    fn at_most(hi: i64) -> Interval {
+        Interval {
+            lo: Some(0),
+            hi: Some(hi),
+        }
+    }
+
+    #[test]
+    fn a_state_whose_only_fact_is_removed_is_top() {
+        let (v, w, far) = (VarId(0), VarId(1), VarId(40));
+
+        // by widening: both endpoints moved
+        let mut env = Env::top();
+        env.assume_interval(v, at_most(5));
+        let mut prev = Env::top();
+        prev.assume_interval(v, at_most(6));
+        prev.assume_interval(
+            v,
+            Interval {
+                lo: Some(1),
+                hi: None,
+            },
+        );
+        env.widen_against(&prev);
+        assert_eq!(env, Env::top());
+
+        // by a killing assignment: `w := w + 1` drops both symbolic facts
+        // of `v <= w` and leaves `w` unbounded
+        let mut env = Env::top();
+        env.assume_le(&LinForm::var(v).sub(&LinForm::var(w)), 0);
+        assert_ne!(env, Env::top());
+        env.step(&Stmt::assign(w, Expr::add(Expr::var(w), Expr::int(1))));
+        assert_eq!(env, Env::top());
+
+        // by a join with a state that knows nothing of the variable
+        let mut env = Env::top();
+        env.assume_interval(far, at_most(3));
+        let mut other = Env::top();
+        other.assume_interval(v, at_most(3));
+        assert_eq!(env.join(&other), Env::top());
+        assert_eq!(other.join(&env), Env::top());
+
+        // a slot cleared after the vector grew still compares as top
+        let mut env = Env::top();
+        env.assume_interval(far, at_most(3));
+        env.step(&Stmt::assign(
+            far,
+            Expr::mul(Expr::var(far), Expr::var(far)),
+        ));
+        assert_eq!(env.interval(far), Interval::top());
+        assert_eq!(env, Env::top());
+        assert_eq!(Env::top(), env);
+    }
+
+    #[test]
+    fn states_over_different_variable_ranges_join_and_compare_like_maps() {
+        let (v, far) = (VarId(2), VarId(33));
+        let mut long = Env::top();
+        long.assume_interval(v, at_most(4));
+        long.assume_interval(far, at_most(9));
+        let mut short = Env::top();
+        short.assume_interval(v, at_most(7));
+
+        // `far` is known on one side only: the join keeps `v`'s hull
+        let mut hull = Env::top();
+        hull.assume_interval(v, at_most(7));
+        assert_eq!(long.join(&short), hull);
+        assert_eq!(short.join(&long), hull);
+        assert!(long.entails(&short) && !short.entails(&long));
+
+        // equal facts compare equal whatever the vector lengths; one
+        // differing fact, wherever it sits, makes the states differ
+        let mut cleared = long.clone();
+        cleared.step(&Stmt::assign(
+            far,
+            Expr::mul(Expr::var(far), Expr::var(far)),
+        ));
+        let mut just_v = Env::top();
+        just_v.assume_interval(v, at_most(4));
+        assert_eq!(cleared, just_v);
+        assert_ne!(long, just_v);
+        assert_ne!(just_v, long);
+        assert_ne!(cleared, short);
+
+        // symbolic facts: equal when built twice, dropped by a join with a
+        // different bound, kept by a join with the same one
+        let bound_by = |k: i64| {
+            let mut e = Env::top();
+            e.assume_le(&LinForm::var(v).sub(&LinForm::var(far)), k);
+            e
+        };
+        assert_eq!(bound_by(0), bound_by(0));
+        assert_ne!(bound_by(0), bound_by(1));
+        assert_eq!(bound_by(0).join(&bound_by(0)), bound_by(0));
+        assert_eq!(bound_by(0).join(&bound_by(1)), Env::top());
+        // bottom states still compare their facts
+        let mut trapped = bound_by(0);
+        trapped.bottom = true;
+        assert_ne!(trapped, Env::unreachable());
+    }
+
+    #[test]
+    fn re_asserting_a_fact_leaves_the_state_unchanged() {
+        let (i, n) = (VarId(0), VarId(1));
+        let fact = LinForm::var(i).sub(&LinForm::var(n));
+        let mut env = Env::top();
+        env.assume_interval(n, at_most(10));
+        env.assume_le(&fact, -1);
+        let before = env.clone();
+        env.assume_le(&fact, -1);
+        assert_eq!(env, before);
+        // the stored bound is the one built the first time
+        assert!(Arc::ptr_eq(
+            env.upper_bound(i).unwrap(),
+            before.upper_bound(i).unwrap()
+        ));
+        assert_eq!(env.range(&LinForm::var(i)).hi, Some(9));
+    }
+
+    #[test]
+    fn cap_and_visits_are_reported() {
+        let (_, small) = vra_of(
+            "program p\n integer a(1:10)\n integer i\n do i = 1, 10\n a(i) = i\n enddo\nend\n",
+        );
+        assert!(!small.capped);
+        assert!(small.visits > 0);
+        let mut src = String::from("program p\n integer a(1:10)\n integer i, m\n m = 10\n");
+        for _ in 0..40 {
+            src.push_str(" do i = 1, m\n a(i) = i\n enddo\n");
+        }
+        src.push_str("end\n");
+        let (f, big) = vra_of(&src);
+        assert!(big.capped);
+        // the checks before each store bound the stored value, so `a` gets
+        // a load summary and the second phase runs into the cap as well
+        assert!(!big.load_ranges.is_empty());
+        assert_eq!(big.visits, 2 * iteration_cap(&f));
+        assert!(big.entry.iter().all(|e| *e == Env::top()));
     }
 
     #[test]

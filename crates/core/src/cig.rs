@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 use nascent_analysis::dom::Dominators;
 use nascent_analysis::reach::UniqueDefs;
-use nascent_ir::{Function, LinForm, Stmt, VarId};
+use nascent_ir::{Function, FxHashMap, LinForm, Stmt, VarId};
 
 /// Index of a family within a [`Cig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,9 +42,9 @@ impl FamilyId {
 #[derive(Debug, Clone, Default)]
 pub struct Cig {
     families: Vec<LinForm>,
-    index: HashMap<LinForm, FamilyId>,
+    index: FxHashMap<LinForm, FamilyId>,
     /// Direct cross-family edges with minimum weights.
-    edges: HashMap<(FamilyId, FamilyId), i64>,
+    edges: FxHashMap<(FamilyId, FamilyId), i64>,
 }
 
 impl Cig {
@@ -114,7 +114,7 @@ impl Cig {
             }
         }
         let n = nodes.len();
-        let pos: HashMap<FamilyId, usize> =
+        let pos: FxHashMap<FamilyId, usize> =
             nodes.iter().enumerate().map(|(i, f)| (*f, i)).collect();
         const INF: i64 = i64::MAX / 4;
         let mut dist = vec![INF; n * n];
@@ -168,7 +168,7 @@ const INF_THRESHOLD: i64 = i64::MAX / 8;
 #[derive(Debug, Clone)]
 pub struct CigClosure {
     nodes: Vec<FamilyId>,
-    pos: HashMap<FamilyId, usize>,
+    pos: FxHashMap<FamilyId, usize>,
     dist: Vec<i64>,
     negative: Vec<bool>,
     n: usize,

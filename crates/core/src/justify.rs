@@ -135,43 +135,34 @@ impl JustLog {
         self.events.push(e);
     }
 
-    /// Every check expression mentioned anywhere in the log (used by the
-    /// verifier to widen its check universe).
-    pub fn mentioned_checks(&self) -> Vec<CheckExpr> {
+    /// Every check expression mentioned anywhere in the log, borrowed, in
+    /// log order (used by the verifier to widen its check universe).
+    pub fn mentioned_checks(&self) -> Vec<&CheckExpr> {
         let mut out = Vec::new();
         for e in &self.events {
             match e {
-                Event::Eliminated { check, because, .. } => {
-                    out.push(check.clone());
-                    out.push(because.clone());
-                }
-                Event::Strengthened { from, to, .. } => {
-                    out.push(from.clone());
-                    out.push(to.clone());
-                }
+                Event::Eliminated { check, because, .. } => out.extend([check, because]),
+                Event::Strengthened { from, to, .. } => out.extend([from, to]),
                 Event::Hoisted { guards, cond, .. } => {
-                    out.extend(guards.iter().cloned());
-                    out.push(cond.clone());
+                    out.extend(guards);
+                    out.push(cond);
                 }
-                Event::HoistCovered { check, by, .. } => {
-                    out.push(check.clone());
-                    out.push(by.clone());
-                }
+                Event::HoistCovered { check, by, .. } => out.extend([check, by]),
                 Event::Rehoisted {
                     guards,
                     cond,
                     original,
                     ..
                 } => {
-                    out.extend(guards.iter().cloned());
-                    out.push(cond.clone());
-                    out.extend(original.guards.iter().cloned());
-                    out.push(original.cond.clone());
+                    out.extend(guards);
+                    out.push(cond);
+                    out.extend(&original.guards);
+                    out.push(&original.cond);
                 }
                 Event::Inserted { check, .. }
                 | Event::FoldedTrue { check, .. }
                 | Event::FoldedFalse { check, .. }
-                | Event::Discharged { check, .. } => out.push(check.clone()),
+                | Event::Discharged { check, .. } => out.push(check),
             }
         }
         out
@@ -201,7 +192,7 @@ mod tests {
         });
         let got = log.mentioned_checks();
         for b in 0..6 {
-            assert!(got.contains(&c(b)), "bound {b} mentioned");
+            assert!(got.contains(&&c(b)), "bound {b} mentioned");
         }
         let _ = Expr::int(0); // keep the import used under all features
     }

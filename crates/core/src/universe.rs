@@ -5,11 +5,19 @@
 //! A data-flow fact is a [`BitSet`] over universe indices. Performing an
 //! (unconditional) check generates the set of checks it implies; defining
 //! a variable kills every check whose range expression mentions it.
+//!
+//! The builder borrows the checks it is given and clones only the
+//! distinct ones into the universe. The certifier offers every check of
+//! the reference function, the log and the optimized code: about 46 000
+//! on the 96-loop scaling program under NI, of which 194 are distinct.
+//! Checks are looked up by value through an [`FxHashMap`]: hashing a
+//! check is a handful of word-sized writes, which the Fx scheme mixes in
+//! with one multiply each.
 
 use std::collections::HashMap;
 
 use nascent_analysis::context::PassContext;
-use nascent_ir::{CheckExpr, Function, Stmt, VarId};
+use nascent_ir::{CheckExpr, Function, FxHashMap, Stmt, VarId};
 
 use crate::cig::{discover_affine_edges, Cig, CigClosure, FamilyId};
 use crate::util::BitSet;
@@ -39,7 +47,7 @@ pub struct Universe {
     pub kill_of: HashMap<VarId, BitSet>,
     /// Active implication mode.
     pub mode: ImplicationMode,
-    id_of: HashMap<CheckExpr, usize>,
+    id_of: FxHashMap<CheckExpr, usize>,
 }
 
 impl Universe {
@@ -53,43 +61,36 @@ impl Universe {
     /// [`Universe::build`] drawing dominators and unique definitions from
     /// a shared [`PassContext`] instead of recomputing them.
     pub fn build_ctx(f: &Function, mode: ImplicationMode, ctx: &mut PassContext) -> Universe {
-        Universe::build_with_extra_ctx(f, mode, &[], ctx)
+        Universe::build_with_extra_ctx(f, mode, [], ctx)
     }
 
-    /// [`Universe::build`] with additional check expressions seeded into
-    /// the universe beyond those occurring in `f`. The verifier uses this
-    /// to reason about checks the optimizer deleted (they appear in the
-    /// justification log and the reference program but not in the
-    /// optimized function).
-    pub fn build_with_extra(f: &Function, mode: ImplicationMode, extra: &[CheckExpr]) -> Universe {
-        Universe::build_with_extra_ctx(f, mode, extra, &mut PassContext::new())
-    }
-
-    /// [`Universe::build_with_extra`] over a shared [`PassContext`].
-    pub fn build_with_extra_ctx(
+    /// [`Universe::build_ctx`] with additional check expressions seeded
+    /// into the universe, after those occurring in `f`. The verifier uses
+    /// this to reason about checks the optimizer deleted (they appear in
+    /// the justification log and the reference program but not in the
+    /// optimized function). Only checks not seen before are cloned.
+    pub fn build_with_extra_ctx<'c>(
         f: &Function,
         mode: ImplicationMode,
-        extra: &[CheckExpr],
+        extra: impl IntoIterator<Item = &'c CheckExpr>,
         ctx: &mut PassContext,
     ) -> Universe {
         let mut checks: Vec<CheckExpr> = Vec::new();
-        let mut id_of: HashMap<CheckExpr, usize> = HashMap::new();
-        for b in f.block_ids() {
-            for s in &f.block(b).stmts {
-                if let Stmt::Check(c) = s {
-                    if !id_of.contains_key(&c.cond) {
-                        id_of.insert(c.cond.clone(), checks.len());
-                        checks.push(c.cond.clone());
-                    }
-                }
-            }
-        }
-        for c in extra {
+        let mut id_of: FxHashMap<CheckExpr, usize> = FxHashMap::default();
+        let mut intern = |c: &CheckExpr| {
             if !id_of.contains_key(c) {
                 id_of.insert(c.clone(), checks.len());
                 checks.push(c.clone());
             }
+        };
+        for b in f.block_ids() {
+            for s in &f.block(b).stmts {
+                if let Stmt::Check(c) = s {
+                    intern(&c.cond);
+                }
+            }
         }
+        extra.into_iter().for_each(intern);
         let mut cig = Cig::new();
         let family_of: Vec<FamilyId> = checks.iter().map(|c| cig.family(c.family_key())).collect();
         if mode != ImplicationMode::None {

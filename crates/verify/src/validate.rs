@@ -67,6 +67,7 @@ use nascent_analysis::loops::{LoopForest, LoopInfo};
 use nascent_analysis::reach::UniqueDefs;
 use nascent_analysis::vra::{analyze_with_forest, trip_facts};
 use nascent_ir::{BlockId, Check, CheckExpr, Function, LinForm, Program, Stmt, Terminator, VarId};
+use nascent_obs::trace::Span;
 use nascent_rangecheck::dataflow::{antic_step, avail_step, Antic, Avail};
 use nascent_rangecheck::util::BitSet;
 use nascent_rangecheck::{inx, CheckKind, Discharge, Event, JustLog, OptimizeOptions, Universe};
@@ -248,16 +249,16 @@ pub fn certify_function(
         // universe on the reference, widened with everything the
         // optimized code or the log mentions, so every implication query
         // resolves
-        let mut extra: Vec<CheckExpr> = log.mentioned_checks();
-        for b in optimized.block_ids() {
-            for s in &optimized.block(b).stmts {
-                if let Stmt::Check(c) = s {
-                    extra.push(c.cond.clone());
-                    extra.extend(c.guards.iter().cloned());
-                }
-            }
-        }
-        Universe::build_with_extra_ctx(reference, opts.implications, &extra, &mut ref_ctx)
+        let in_opt = optimized
+            .block_ids()
+            .flat_map(|b| &optimized.block(b).stmts)
+            .filter_map(|s| match s {
+                Stmt::Check(c) => Some(std::iter::once(&c.cond).chain(&c.guards)),
+                _ => None,
+            })
+            .flatten();
+        let extra = log.mentioned_checks().into_iter().chain(in_opt);
+        Universe::build_with_extra_ctx(reference, opts.implications, extra, &mut ref_ctx)
     };
     // summaries are per-(function, universe): Antic is summarized over the
     // reference CFG, Avail over the optimized one, sharing the universe
@@ -270,8 +271,9 @@ pub fn certify_function(
         solve(optimized, &Avail::new(optimized, &u))
     };
     let vra_ref = {
-        let _sp = phase("vra-ref");
-        let (proved, rejected) = value_range_facts(reference, &ref_ctx.loop_forest(reference));
+        let mut sp = phase("vra-ref");
+        let forest = ref_ctx.loop_forest(reference);
+        let (proved, rejected) = value_range_facts(reference, &forest, &mut sp);
         cert.diagnostics.extend(rejected);
         proved
     };
@@ -502,9 +504,17 @@ pub fn certify_function(
 
 /// Runs the value-range analysis on `f` over the certifier's own loop
 /// forest and checks the result ([`invariant::check`]). A rejected
-/// invariant gives `f` no value-range facts, plus the diagnostic.
-fn value_range_facts(f: &Function, forest: &LoopForest) -> (Proved, Option<Diagnostic>) {
+/// invariant gives `f` no value-range facts, plus the diagnostic. The
+/// fixpoint's visit count and whether it hit the iteration cap go on
+/// `sp`.
+fn value_range_facts(
+    f: &Function,
+    forest: &LoopForest,
+    sp: &mut Span,
+) -> (Proved, Option<Diagnostic>) {
     let vra = analyze_with_forest(f, forest);
+    sp.attr("visits", vra.visits);
+    sp.attr("capped", u32::from(vra.capped));
     match invariant::check(f, &vra, &trip_facts(forest)) {
         Ok(proved) => (proved, None),
         Err(d) => (Proved::default(), Some(d)),
@@ -751,8 +761,8 @@ impl<'a> Ctx<'a> {
     /// proves statement `idx` of block `b` ([`Proved::at`]).
     fn vra_opt_proves(&self, b: BlockId, idx: usize) -> bool {
         let (proved, _) = self.vra_opt.get_or_init(|| {
-            let _sp = nascent_obs::trace::span("vra-opt", "verify");
-            value_range_facts(self.opt_f, &self.forest)
+            let mut sp = nascent_obs::trace::span("vra-opt", "verify");
+            value_range_facts(self.opt_f, &self.forest, &mut sp)
         });
         proved.at(b, idx)
     }
@@ -920,9 +930,9 @@ impl<'a> Ctx<'a> {
         blk: &mut BlockA<'_>,
         g: usize,
         vra_true: bool,
-        c: &CheckExpr,
+        c: &'a CheckExpr,
         depth: u32,
-        visited: &mut HashSet<CheckExpr>,
+        visited: &mut HashSet<&'a CheckExpr>,
     ) -> Result<Cover, String> {
         let b = blk.b;
         // an unconditional trap at (or before) the same gap means the
@@ -934,11 +944,11 @@ impl<'a> Ctx<'a> {
         if blk.opt_gaps.checks(g).iter().any(|x| self.implies(x, c)) {
             return Ok(Cover::Direct);
         }
-        if depth == 0 || !visited.insert(c.clone()) {
+        if depth == 0 || !visited.insert(c) {
             return Err("justification chain too deep or cyclic".into());
         }
         let mut tried = Vec::new();
-        for e in self.events_at(b) {
+        for &e in self.events_at(b) {
             match e {
                 Event::Eliminated {
                     block,

@@ -7,7 +7,7 @@ use nascent_analysis::context::PassContext;
 use nascent_analysis::vra::{analyze_with_forest, trip_facts, Env, Interval, Vra};
 use nascent_frontend::compile;
 use nascent_ir::{ArrayId, Function, Program, Stmt};
-use nascent_obs::trace::{validate_nesting, ScopedCollector, SpanRecord};
+use nascent_obs::trace::{validate_nesting, AttrValue, ScopedCollector, SpanRecord};
 use nascent_rangecheck::{
     inx, optimize_program_logged, CheckKind, Discharge, DischargeReason, Event, ImplicationMode,
     OptimizeOptions, Scheme,
@@ -708,6 +708,83 @@ fn accepts_constant_true_hoisted_conditions() {
                 .join("\n")
         );
     }
+}
+
+/// The counts of the scaling programs' certificates under NI and LLS
+/// with INX checks. At k = 8 the value-range fixpoint converges and
+/// proves every reference check; at k = 32 it runs into the iteration
+/// cap. A change to the value-range states or the check universe that
+/// flips a verdict changes these counts.
+#[test]
+fn scaling_certificates_keep_their_counts() {
+    // (k, scheme, obligations, vra_discharged, discharged_by_log)
+    let expected = [
+        (8, Scheme::Ni, 202, 130, 57),
+        (8, Scheme::Lls, 138, 130, 137),
+        (32, Scheme::Ni, 3106, 994, 993),
+        (32, Scheme::Lls, 2082, 994, 2081),
+    ];
+    for (k, scheme, obligations, vra_discharged, by_log) in expected {
+        let opts = OptimizeOptions::scheme(scheme).with_kind(CheckKind::Inx);
+        let cert = certify_source(&scaling_program(k), &opts);
+        assert!(cert.ok(), "k={k} {}: {cert}", scheme.name());
+        assert_eq!(
+            (
+                cert.obligations,
+                cert.vra_discharged,
+                cert.discharged_by_log
+            ),
+            (obligations, vra_discharged, by_log),
+            "k={k} {}",
+            scheme.name()
+        );
+    }
+}
+
+fn int_attr(s: &SpanRecord, key: &str) -> i64 {
+    match s.attrs.iter().find(|(k, _)| *k == key) {
+        Some((_, AttrValue::Int(v))) => *v,
+        other => panic!("`{}` has no integer `{key}`: {other:?}", s.name),
+    }
+}
+
+/// The value-range spans report the fixpoint's block visits and whether
+/// it ran into the iteration cap: on the scaling program the fixpoint
+/// converges at k = 8 and is capped at k = 32. The certifier's `vra-ref`
+/// span and the analysis `vra` span agree, and `vra-opt` carries the
+/// same attributes.
+#[test]
+fn vra_spans_report_visits_and_the_iteration_cap() {
+    let opts = OptimizeOptions::scheme(Scheme::Ni).with_kind(CheckKind::Inx);
+    for (k, capped) in [(8, 0), (32, 1)] {
+        let naive = compile(&scaling_program(k)).unwrap();
+        let spans = traced_certify(&naive, &opts);
+        let vra_ref = spans.iter().find(|s| s.name == "vra-ref").unwrap();
+        assert_eq!(int_attr(vra_ref, "capped"), capped, "k={k}");
+        let visits = int_attr(vra_ref, "visits");
+        assert!(visits > 0, "k={k}");
+
+        let mut reference = naive.functions[0].clone();
+        inx::rewrite_checks(&mut reference);
+        let collector = ScopedCollector::begin();
+        PassContext::new().vra(&reference);
+        let spans = collector.finish();
+        let vra = spans
+            .iter()
+            .find(|s| s.name == "vra" && s.cat == "analysis")
+            .unwrap();
+        assert_eq!(int_attr(vra, "capped"), capped, "k={k}");
+        assert_eq!(int_attr(vra, "visits"), visits, "k={k}");
+    }
+
+    let trapping = compile(
+        "program bad\n integer a(1:5)\n integer i\n do i = 1, 9\n  a(i) = i\n enddo\nend\n",
+    )
+    .unwrap();
+    let spans = traced_certify(&trapping, &OptimizeOptions::scheme(Scheme::Lls));
+    let vra_opt = spans.iter().find(|s| s.name == "vra-opt").unwrap();
+    assert_eq!(int_attr(vra_opt, "capped"), 0);
+    assert!(int_attr(vra_opt, "visits") > 0);
 }
 
 /// Runs the value-range analysis on `f` and checks its result.
