@@ -1,7 +1,11 @@
 //! Optimizer and certifier cost on the scaling curve: programs of `k`
 //! sequential loops with `k` array stores each (`2k²` naive checks), the
 //! shape of the benchmark's `scaling-certify` workload, under NI and LLS
-//! with INX checks. Prints the median of three runs per row.
+//! with INX checks. Prints the median of three runs per row, and from one
+//! more, traced, certification the `visits` and `capped` attributes of
+//! its `vra-ref` span: the value-range fixpoint's block visits on the
+//! reference function, and whether it ran into the iteration cap (which
+//! sets every state to top, so the visits bought nothing).
 //!
 //! Exits non-zero when, at any k ≥ 64, the median LLS optimize time
 //! exceeds 4× the median NI optimize time: the preheader hoist pass must
@@ -13,6 +17,8 @@
 use std::time::Instant;
 
 use nascent::frontend::compile;
+use nascent::ir::Program;
+use nascent::obs::trace::{AttrValue, ScopedCollector};
 use nascent::rangecheck::{optimize_program_logged, CheckKind, OptimizeOptions, Scheme};
 use nascent::suite::scaling_program;
 use nascent::verify::certify_program;
@@ -28,6 +34,25 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// The `visits` and `capped` attributes of the `vra-ref` span of one
+/// traced, untimed optimization and certification.
+fn vra_ref_attrs(naive: &Program, opts: &OptimizeOptions) -> (i64, bool) {
+    let mut prog = naive.clone();
+    let (_, logs) = optimize_program_logged(&mut prog, opts);
+    let collector = ScopedCollector::begin();
+    certify_program(naive, &prog, &logs, opts);
+    let spans = collector.finish();
+    let span = spans
+        .iter()
+        .find(|s| s.name == "vra-ref")
+        .expect("certify opens a vra-ref span");
+    let attr = |key| match span.attrs.iter().find(|(k, _)| *k == key) {
+        Some((_, AttrValue::Int(v))) => *v,
+        _ => panic!("vra-ref has no `{key}` attribute"),
+    };
+    (attr("visits"), attr("capped") == 1)
+}
+
 fn main() {
     let ks: Vec<usize> = std::env::args()
         .skip(1)
@@ -39,8 +64,15 @@ fn main() {
         ks
     };
     println!(
-        "{:>4} {:>6} {:>12} {:>11} {:>11} {:>9}",
-        "k", "scheme", "optimize ms", "certify ms", "obligations", "us/oblig"
+        "{:>4} {:>6} {:>12} {:>11} {:>11} {:>9} {:>10} {:>6}",
+        "k",
+        "scheme",
+        "optimize ms",
+        "certify ms",
+        "obligations",
+        "us/oblig",
+        "vra visits",
+        "capped"
     );
     let mut too_slow = Vec::new();
     for k in ks {
@@ -63,12 +95,14 @@ fn main() {
             }
             let certify = median(certify);
             *ms = median(optimize);
+            let (visits, capped) = vra_ref_attrs(&naive, &opts);
             println!(
-                "{k:>4} {:>6} {:>12.1} {:>11.1} {obligations:>11} {:>9.2}",
+                "{k:>4} {:>6} {:>12.1} {:>11.1} {obligations:>11} {:>9.2} {visits:>10} {:>6}",
                 scheme.name(),
                 *ms,
                 certify,
-                certify * 1e3 / obligations as f64
+                certify * 1e3 / obligations as f64,
+                if capped { "yes" } else { "no" }
             );
         }
         let [ni, lls] = optimize_ms;
