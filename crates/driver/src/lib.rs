@@ -102,7 +102,8 @@ pub struct Counters {
     pub dynamic_instructions: u64,
     /// Statement-progress counter of the optimized run.
     pub dynamic_progress: u64,
-    /// % of dynamic checks eliminated relative to the naive run.
+    /// % of dynamic checks eliminated relative to the naive run (0 when
+    /// the naive run performs no checks).
     pub percent_eliminated: f64,
     /// Values emitted by `print`, rendered.
     pub output: Vec<String>,
@@ -500,7 +501,10 @@ pub fn evaluate(
     }
     stages.execute_ns = sp.finish().as_nanos() as u64;
 
-    let percent = 100.0 * (1.0 - opt.dynamic_checks as f64 / naive.dynamic_checks.max(1) as f64);
+    let percent = match naive.dynamic_checks {
+        0 => 0.0,
+        n => 100.0 * (1.0 - opt.dynamic_checks as f64 / n as f64),
+    };
     Ok(Outcome {
         config: *config,
         mode,
@@ -646,5 +650,22 @@ end
         let out = compute(&req, &harness::harness_limits()).unwrap();
         assert_eq!(out.counters.dynamic_checks, out.counters.naive_checks);
         assert_eq!(out.counters.percent_eliminated, 0.0);
+    }
+
+    #[test]
+    fn a_check_free_program_eliminates_nothing() {
+        for optimize in [true, false] {
+            let req = Request {
+                program: "program p\n integer x\n x = 2\n print x\nend\n".into(),
+                config: RunConfig {
+                    optimize,
+                    ..RunConfig::default()
+                },
+                mode: Mode::Optimize,
+            };
+            let out = compute(&req, &harness::harness_limits()).unwrap();
+            assert_eq!(out.counters.naive_checks, 0);
+            assert_eq!(out.counters.percent_eliminated, 0.0, "optimize={optimize}");
+        }
     }
 }

@@ -8,10 +8,21 @@
 //! paper's canonical form: semantically equivalent range expressions that
 //! are syntactically different (`i+1 <= 4*n` vs `i - 4*n <= -1`) become
 //! structurally identical, so they land in the same check *family*.
+//!
+//! A form keeps its terms as a list sorted strictly by term, with no zero
+//! coefficient: a form of at most one term holds it inline, and one of two
+//! or more keeps a vector. A term of one atom holds that atom inline (a
+//! product keeps a boxed slice of two or more). Almost every check has
+//! one term of one atom, so its form allocates nothing, and `add` and
+//! `sub` build their result in one merge of two sorted lists. Order, hash
+//! input and `{:?}` text are those of a map from term to coefficient:
+//! terms compare lexicographically, then the constant; a form hashes its
+//! term count, each term and coefficient, then its constant; and it
+//! prints as `LinForm { terms: {Term([..]): c, ..}, constant: k }`.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::pretty::{write_expr, VarNamer};
@@ -38,13 +49,24 @@ impl Atom {
 }
 
 /// A product of atoms in canonical sorted order. Never empty.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Term(Vec<Atom>);
+///
+/// Equality, order, hashing and `{:?}` all go through [`Term::atoms`], so
+/// a term behaves as the sorted list of its atoms.
+#[derive(Clone)]
+pub struct Term(Factors);
+
+#[derive(Clone)]
+enum Factors {
+    /// A single atom, held inline.
+    One(Atom),
+    /// Two or more atoms, sorted.
+    Many(Box<[Atom]>),
+}
 
 impl Term {
     /// A term holding a single atom.
     pub fn atom(a: Atom) -> Term {
-        Term(vec![a])
+        Term(Factors::One(a))
     }
 
     /// A term holding a single variable.
@@ -54,31 +76,35 @@ impl Term {
 
     /// Product of two terms (multiset union of atoms, re-sorted).
     pub fn product(&self, other: &Term) -> Term {
-        let mut atoms = self.0.clone();
-        atoms.extend(other.0.iter().cloned());
+        let mut atoms = Vec::with_capacity(self.degree() + other.degree());
+        atoms.extend_from_slice(self.atoms());
+        atoms.extend_from_slice(other.atoms());
         atoms.sort();
-        Term(atoms)
+        Term(Factors::Many(atoms.into_boxed_slice()))
     }
 
     /// The atoms of the term.
     pub fn atoms(&self) -> &[Atom] {
-        &self.0
+        match &self.0 {
+            Factors::One(a) => std::slice::from_ref(a),
+            Factors::Many(atoms) => atoms,
+        }
     }
 
     /// Degree of the term (number of atom factors).
     pub fn degree(&self) -> usize {
-        self.0.len()
+        self.atoms().len()
     }
 
     /// All variables referenced by the term.
     pub fn vars(&self) -> Vec<VarId> {
-        self.0.iter().flat_map(Atom::vars).collect()
+        self.atoms().iter().flat_map(Atom::vars).collect()
     }
 
     /// True if some atom of the term is `v` or an opaque subexpression
     /// that reads `v`.
     pub fn uses_var(&self, v: VarId) -> bool {
-        self.0.iter().any(|a| match a {
+        self.atoms().iter().any(|a| match a {
             Atom::Var(w) => *w == v,
             Atom::Opaque(e) => e.uses_var(v),
         })
@@ -86,17 +112,122 @@ impl Term {
 
     /// True if the term is exactly the single variable `v`.
     pub fn is_var(&self, v: VarId) -> bool {
-        self.0.len() == 1 && self.0[0] == Atom::Var(v)
+        matches!(self.0, Factors::One(Atom::Var(w)) if w == v)
+    }
+}
+
+impl PartialEq for Term {
+    fn eq(&self, other: &Term) -> bool {
+        self.atoms() == other.atoms()
+    }
+}
+
+impl Eq for Term {}
+
+impl PartialOrd for Term {
+    fn partial_cmp(&self, other: &Term) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Term {
+    fn cmp(&self, other: &Term) -> Ordering {
+        self.atoms().cmp(other.atoms())
+    }
+}
+
+impl Hash for Term {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.atoms().hash(state);
+    }
+}
+
+impl fmt::Debug for Term {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Term").field(&self.atoms()).finish()
     }
 }
 
 /// A canonical multilinear polynomial with an integer constant part.
 ///
-/// The zero polynomial has no terms. Coefficients are never stored as zero.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// The zero polynomial has no terms. Terms are sorted strictly, and
+/// coefficients are never stored as zero. Equality, order and hashing
+/// go through the sorted term list, then the constant.
+#[derive(Clone, Default)]
 pub struct LinForm {
-    terms: BTreeMap<Term, i64>,
+    terms: Terms,
     constant: i64,
+}
+
+/// The sorted `(term, coefficient)` list of a form. A form of at most one
+/// term, almost every check's, holds it inline; `Many` always holds two or
+/// more.
+#[derive(Clone)]
+enum Terms {
+    One(Option<(Term, i64)>),
+    Many(Vec<(Term, i64)>),
+}
+
+impl Default for Terms {
+    fn default() -> Terms {
+        Terms::One(None)
+    }
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[(Term, i64)] {
+        match self {
+            Terms::One(t) => t.as_slice(),
+            Terms::Many(ts) => ts,
+        }
+    }
+
+    fn from_vec(mut ts: Vec<(Term, i64)>) -> Terms {
+        if ts.len() <= 1 {
+            Terms::One(ts.pop())
+        } else {
+            Terms::Many(ts)
+        }
+    }
+
+    /// Appends a term that sorts after every term held.
+    fn push(&mut self, t: (Term, i64)) {
+        match self {
+            Terms::One(slot) => match slot.take() {
+                None => *slot = Some(t),
+                Some(first) => *self = Terms::Many(vec![first, t]),
+            },
+            Terms::Many(ts) => ts.push(t),
+        }
+    }
+}
+
+impl PartialEq for LinForm {
+    fn eq(&self, other: &LinForm) -> bool {
+        self.terms.as_slice() == other.terms.as_slice() && self.constant == other.constant
+    }
+}
+
+impl Eq for LinForm {}
+
+impl PartialOrd for LinForm {
+    fn partial_cmp(&self, other: &LinForm) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for LinForm {
+    fn cmp(&self, other: &LinForm) -> Ordering {
+        let terms = self.terms.as_slice().cmp(other.terms.as_slice());
+        terms.then(self.constant.cmp(&other.constant))
+    }
+}
+
+impl Hash for LinForm {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.terms.as_slice().hash(state);
+        self.constant.hash(state);
+    }
 }
 
 impl LinForm {
@@ -108,33 +239,42 @@ impl LinForm {
     /// A constant form.
     pub fn constant(c: i64) -> LinForm {
         LinForm {
-            terms: BTreeMap::new(),
+            terms: Terms::default(),
             constant: c,
         }
     }
 
     /// The form `1·v`.
     pub fn var(v: VarId) -> LinForm {
-        let mut terms = BTreeMap::new();
-        terms.insert(Term::var(v), 1);
-        LinForm { terms, constant: 0 }
+        LinForm::atom(Atom::Var(v))
     }
 
     /// The form `1·atom`.
     pub fn atom(a: Atom) -> LinForm {
-        let mut terms = BTreeMap::new();
-        terms.insert(Term::atom(a), 1);
-        LinForm { terms, constant: 0 }
+        LinForm {
+            terms: Terms::One(Some((Term::atom(a), 1))),
+            constant: 0,
+        }
     }
 
     /// Builds a form from `(term, coefficient)` pairs plus a constant,
     /// dropping zero coefficients and combining duplicates.
     pub fn from_terms(pairs: impl IntoIterator<Item = (Term, i64)>, constant: i64) -> LinForm {
-        let mut f = LinForm::constant(constant);
-        for (t, c) in pairs {
-            f.add_term(t, c);
+        let mut terms: Vec<(Term, i64)> = pairs.into_iter().collect();
+        // equal terms are identical, so an unstable sort is canonical
+        terms.sort_unstable_by(|(s, _), (t, _)| s.cmp(t));
+        terms.dedup_by(|(t, c), (kept, sum)| {
+            let same = t == kept;
+            if same {
+                *sum = sum.wrapping_add(*c);
+            }
+            same
+        });
+        terms.retain(|(_, c)| *c != 0);
+        LinForm {
+            terms: Terms::from_vec(terms),
+            constant,
         }
-        f
     }
 
     /// Adds `coeff·term` into the form.
@@ -142,20 +282,21 @@ impl LinForm {
         if coeff == 0 {
             return;
         }
-        match self.terms.entry(term) {
-            Entry::Vacant(e) => {
-                e.insert(coeff);
-            }
-            Entry::Occupied(mut e) => {
-                let sum = e.get().wrapping_add(coeff);
-                if sum == 0 {
+        let mut ts = match std::mem::take(&mut self.terms) {
+            Terms::One(t) => t.into_iter().collect(),
+            Terms::Many(ts) => ts,
+        };
+        match ts.binary_search_by(|(t, _)| t.cmp(&term)) {
+            Err(at) => ts.insert(at, (term, coeff)),
+            Ok(at) => {
+                ts[at].1 = ts[at].1.wrapping_add(coeff);
+                if ts[at].1 == 0 {
                     // remove the cancelled term to keep canonicity
-                    e.remove();
-                } else {
-                    *e.get_mut() = sum;
+                    ts.remove(at);
                 }
             }
         }
+        self.terms = Terms::from_vec(ts);
     }
 
     /// The constant part.
@@ -170,22 +311,25 @@ impl LinForm {
 
     /// The symbolic terms with their coefficients, in canonical order.
     pub fn terms(&self) -> impl Iterator<Item = (&Term, i64)> {
-        self.terms.iter().map(|(t, c)| (t, *c))
+        self.terms.as_slice().iter().map(|(t, c)| (t, *c))
     }
 
     /// Number of symbolic terms.
     pub fn num_terms(&self) -> usize {
-        self.terms.len()
+        self.terms.as_slice().len()
     }
 
     /// True if the form is a literal constant (no symbolic terms).
     pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
+        self.terms.as_slice().is_empty()
     }
 
     /// The coefficient of `term` (zero if absent).
     pub fn coeff(&self, term: &Term) -> i64 {
-        self.terms.get(term).copied().unwrap_or(0)
+        let terms = self.terms.as_slice();
+        terms
+            .binary_search_by(|(t, _)| t.cmp(term))
+            .map_or(0, |at| terms[at].1)
     }
 
     /// The coefficient of the degree-1 term for variable `v`.
@@ -195,17 +339,51 @@ impl LinForm {
 
     /// Sum of two forms.
     pub fn add(&self, other: &LinForm) -> LinForm {
-        let mut out = self.clone();
-        out.constant = out.constant.wrapping_add(other.constant);
-        for (t, c) in other.terms() {
-            out.add_term(t.clone(), c);
-        }
-        out
+        self.add_scaled(other, 1)
     }
 
     /// Difference of two forms.
     pub fn sub(&self, other: &LinForm) -> LinForm {
-        self.add(&other.scale(-1))
+        self.add_scaled(other, -1)
+    }
+
+    /// `self + k·other` in one merge of the two sorted term lists, with
+    /// the wrapping of [`LinForm::scale`] and [`LinForm::add`]: a scaled
+    /// coefficient or a sum that wraps to zero is no term.
+    fn add_scaled(&self, other: &LinForm, k: i64) -> LinForm {
+        let (xs, ys) = (self.terms.as_slice(), other.terms.as_slice());
+        let mut terms = Terms::default();
+        let (mut i, mut j) = (0, 0);
+        while i < xs.len() || j < ys.len() {
+            let order = match (xs.get(i), ys.get(j)) {
+                (Some((s, _)), Some((t, _))) => s.cmp(t),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let (t, c) = match order {
+                Ordering::Less => {
+                    i += 1;
+                    (&xs[i - 1].0, xs[i - 1].1)
+                }
+                Ordering::Greater => {
+                    j += 1;
+                    (&ys[j - 1].0, ys[j - 1].1.wrapping_mul(k))
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    let c = xs[i - 1].1.wrapping_add(ys[j - 1].1.wrapping_mul(k));
+                    (&xs[i - 1].0, c)
+                }
+            };
+            if c != 0 {
+                terms.push((t.clone(), c));
+            }
+        }
+        LinForm {
+            terms,
+            constant: self.constant.wrapping_add(other.constant.wrapping_mul(k)),
+        }
     }
 
     /// The form scaled by `k`.
@@ -213,14 +391,16 @@ impl LinForm {
         if k == 0 {
             return LinForm::zero();
         }
+        let mut terms = Terms::default();
+        for (t, c) in self.terms() {
+            let c = c.wrapping_mul(k);
+            // a product that wraps to zero is no term
+            if c != 0 {
+                terms.push((t.clone(), c));
+            }
+        }
         LinForm {
-            terms: self
-                .terms
-                .iter()
-                .map(|(t, c)| (t.clone(), c.wrapping_mul(k)))
-                // a product that wraps to zero is no term
-                .filter(|(_, c)| *c != 0)
-                .collect(),
+            terms,
             constant: self.constant.wrapping_mul(k),
         }
     }
@@ -232,25 +412,28 @@ impl LinForm {
 
     /// Product of two forms (distributes; term products merge atom multisets).
     pub fn mul(&self, other: &LinForm) -> LinForm {
-        let mut out = LinForm::constant(self.constant.wrapping_mul(other.constant));
-        for (t, c) in self.terms() {
-            out.add_term(t.clone(), c.wrapping_mul(other.constant));
-        }
-        for (t, c) in other.terms() {
-            out.add_term(t.clone(), c.wrapping_mul(self.constant));
-        }
-        for (t1, c1) in self.terms() {
-            for (t2, c2) in other.terms() {
-                out.add_term(t1.product(t2), c1.wrapping_mul(c2));
+        let (a, b) = (self.constant, other.constant);
+        let scaled = |terms: &[(Term, i64)], k: i64| {
+            terms
+                .iter()
+                .map(move |(t, c)| (t.clone(), c.wrapping_mul(k)))
+                .collect::<Vec<_>>()
+        };
+        let (xs, ys) = (self.terms.as_slice(), other.terms.as_slice());
+        let mut pairs = scaled(xs, b);
+        pairs.extend(scaled(ys, a));
+        for (t1, c1) in xs {
+            for (t2, c2) in ys {
+                pairs.push((t1.product(t2), c1.wrapping_mul(*c2)));
             }
         }
-        out
+        LinForm::from_terms(pairs, a.wrapping_mul(b))
     }
 
     /// All variables referenced (through terms and opaque atoms); sorted and
     /// deduplicated. Definitions of any of these kill checks on this form.
     pub fn vars(&self) -> Vec<VarId> {
-        let mut vs: Vec<VarId> = self.terms.keys().flat_map(Term::vars).collect();
+        let mut vs: Vec<VarId> = self.terms().flat_map(|(t, _)| t.vars()).collect();
         vs.sort();
         vs.dedup();
         vs
@@ -258,7 +441,7 @@ impl LinForm {
 
     /// True if any term references variable `v`.
     pub fn uses_var(&self, v: VarId) -> bool {
-        self.terms.keys().any(|t| t.uses_var(v))
+        self.terms().any(|(t, _)| t.uses_var(v))
     }
 
     /// The symbolic part only (constant zeroed) — this is the *family key*
@@ -273,12 +456,11 @@ impl LinForm {
     /// If the form is `k·v + c` for a single variable `v`, returns
     /// `(v, k, c)`.
     pub fn as_single_var(&self) -> Option<(VarId, i64, i64)> {
-        if self.terms.len() != 1 {
-            return None;
-        }
-        let (t, c) = self.terms.iter().next().unwrap();
-        match t.atoms() {
-            [Atom::Var(v)] => Some((*v, *c, self.constant)),
+        match self.terms.as_slice() {
+            [(t, c)] => match t.atoms() {
+                [Atom::Var(v)] => Some((*v, *c, self.constant)),
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -290,17 +472,22 @@ impl LinForm {
     /// conservative we only substitute when every term containing `v` is
     /// exactly the single-variable term.
     pub fn substitute_var(&self, v: VarId, replacement: &LinForm) -> Option<LinForm> {
-        let mut out = LinForm::constant(self.constant);
+        // at most one term is `v`; the others keep their order
+        let (mut rest, mut k) = (LinForm::constant(self.constant), 0);
         for (t, c) in self.terms() {
             if t.is_var(v) {
-                out = out.add(&replacement.scale(c));
+                k = c;
             } else if t.vars().contains(&v) {
                 return None;
             } else {
-                out.add_term(t.clone(), c);
+                rest.terms.push((t.clone(), c));
             }
         }
-        Some(out)
+        Some(if k == 0 {
+            rest
+        } else {
+            rest.add_scaled(replacement, k)
+        })
     }
 
     /// Converts an expression tree into canonical form. `Add`, `Sub`, `Mul`
@@ -420,6 +607,24 @@ impl fmt::Display for LinForm {
     }
 }
 
+/// Prints the terms as a map, `{Term([..]): c, ..}`.
+impl fmt::Debug for LinForm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Map<'a>(&'a [(Term, i64)]);
+        impl fmt::Debug for Map<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(t, c)| (t, c)))
+                    .finish()
+            }
+        }
+        f.debug_struct("LinForm")
+            .field("terms", &Map(self.terms.as_slice()))
+            .field("constant", &self.constant)
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,6 +665,19 @@ mod tests {
         // a coefficient that wraps to zero under scaling is dropped
         let big = LinForm::from_terms([(Term::var(v(0)), 1 << 62), (Term::var(v(1)), 1)], 0);
         assert_eq!(big.scale(4), LinForm::var(v(1)).scale(4));
+    }
+
+    #[test]
+    fn a_form_back_to_one_term_holds_it_inline() {
+        let mut f = LinForm::from_terms([(Term::var(v(0)), 2), (Term::var(v(1)), 3)], 0);
+        assert!(matches!(f.terms, Terms::Many(_)));
+        f.add_term(Term::var(v(1)), -3);
+        assert!(matches!(f.terms, Terms::One(Some(_))));
+        let g = LinForm::var(v(0))
+            .add(&LinForm::var(v(1)))
+            .sub(&LinForm::var(v(1)));
+        assert!(matches!(g.terms, Terms::One(Some(_))));
+        assert_eq!((f, g), (LinForm::var(v(0)).scale(2), LinForm::var(v(0))));
     }
 
     #[test]

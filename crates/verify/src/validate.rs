@@ -54,6 +54,7 @@
 //! log or replays a block, so the time per obligation does not grow with
 //! the program.
 
+use std::borrow::Cow;
 use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -201,9 +202,10 @@ pub fn certify_program(
         });
         return cert;
     }
-    let mut reference = naive.clone();
+    // only the INX rewrite needs a copy of the reference
+    let mut reference = Cow::Borrowed(naive);
     if opts.kind == CheckKind::Inx {
-        for f in &mut reference.functions {
+        for f in &mut reference.to_mut().functions {
             inx::rewrite_checks(f);
         }
     }

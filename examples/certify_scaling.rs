@@ -9,7 +9,10 @@
 //!
 //! Exits non-zero when, at any k ≥ 64, the median LLS optimize time
 //! exceeds 4× the median NI optimize time: the preheader hoist pass must
-//! stay linear in the loop count.
+//! stay linear in the loop count. Exits non-zero too when, for either
+//! scheme, the median certify µs per obligation at the largest k exceeds
+//! 2× its value at the smallest k ≥ 32: certification must stay linear
+//! in the program.
 //!
 //! Run with `cargo run --release --example certify_scaling [-- K...]`
 //! (default k = 32 64 96 128).
@@ -28,6 +31,11 @@ const RUNS: usize = 3;
 /// Largest allowed LLS / NI optimize-time ratio at k ≥ [`GATE_FROM_K`].
 const MAX_LLS_OVER_NI: f64 = 4.0;
 const GATE_FROM_K: usize = 64;
+
+/// Largest allowed growth of certify µs per obligation from the smallest
+/// k ≥ [`LINEAR_FROM_K`] to the largest k.
+const MAX_US_GROWTH: f64 = 2.0;
+const LINEAR_FROM_K: usize = 32;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -75,10 +83,12 @@ fn main() {
         "capped"
     );
     let mut too_slow = Vec::new();
+    // (k, [NI, LLS] median certify µs per obligation) for k ≥ LINEAR_FROM_K
+    let mut us_per_obligation: Vec<(usize, [f64; 2])> = Vec::new();
     for k in ks {
         let naive = compile(&scaling_program(k)).expect("scaling program compiles");
-        let mut optimize_ms = [0.0; 2];
-        for (scheme, ms) in [Scheme::Ni, Scheme::Lls].into_iter().zip(&mut optimize_ms) {
+        let (mut optimize_ms, mut us) = ([0.0; 2], [0.0; 2]);
+        for (i, scheme) in [Scheme::Ni, Scheme::Lls].into_iter().enumerate() {
             let opts = OptimizeOptions::scheme(scheme).with_kind(CheckKind::Inx);
             let (mut optimize, mut certify) = (Vec::new(), Vec::new());
             let mut obligations = 0;
@@ -94,27 +104,43 @@ fn main() {
                 obligations = cert.obligations;
             }
             let certify = median(certify);
-            *ms = median(optimize);
+            optimize_ms[i] = median(optimize);
+            us[i] = certify * 1e3 / obligations as f64;
             let (visits, capped) = vra_ref_attrs(&naive, &opts);
             println!(
                 "{k:>4} {:>6} {:>12.1} {:>11.1} {obligations:>11} {:>9.2} {visits:>10} {:>6}",
                 scheme.name(),
-                *ms,
+                optimize_ms[i],
                 certify,
-                certify * 1e3 / obligations as f64,
+                us[i],
                 if capped { "yes" } else { "no" }
             );
         }
         let [ni, lls] = optimize_ms;
         if k >= GATE_FROM_K && lls > MAX_LLS_OVER_NI * ni {
-            too_slow.push(format!("k={k}: LLS {lls:.1} ms vs NI {ni:.1} ms"));
+            too_slow.push(format!(
+                "LLS optimize {lls:.1} ms vs NI {ni:.1} ms at k={k} (more than {MAX_LLS_OVER_NI}x)"
+            ));
+        }
+        if k >= LINEAR_FROM_K {
+            us_per_obligation.push((k, us));
+        }
+    }
+    let smallest = us_per_obligation.iter().min_by_key(|(k, _)| *k);
+    let largest = us_per_obligation.iter().max_by_key(|(k, _)| *k);
+    if let (Some((k0, us0)), Some((k1, us1))) = (smallest, largest) {
+        for (i, scheme) in ["NI", "LLS"].into_iter().enumerate() {
+            if us1[i] > MAX_US_GROWTH * us0[i] {
+                too_slow.push(format!(
+                    "{scheme} certify {:.2} us/obligation at k={k1} vs {:.2} at k={k0} \
+                     (more than {MAX_US_GROWTH}x)",
+                    us1[i], us0[i]
+                ));
+            }
         }
     }
     if !too_slow.is_empty() {
-        eprintln!(
-            "LLS optimize exceeds {MAX_LLS_OVER_NI}x NI optimize: {}",
-            too_slow.join("; ")
-        );
+        eprintln!("superlinear growth: {}", too_slow.join("; "));
         std::process::exit(1);
     }
 }

@@ -9,6 +9,11 @@
 //! deleted, moved to the next block, or with its check's bound lowered
 //! by 3.
 //!
+//! Before the cases of each distinct source, one more line hashes the
+//! `{:?}` of the value-range analysis of each of its functions, as
+//! compiled and after the INX rewrite, with the load summaries sorted by
+//! array id (a `HashMap` prints in an order that varies per process).
+//!
 //! The corpus:
 //! * the Small and Paper suites under the 42 matrix configurations,
 //!   discharge off and on;
@@ -27,9 +32,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 
+use nascent::analysis::vra::analyze;
 use nascent::driver::harness::full_matrix_configs;
 use nascent::frontend::compile;
 use nascent::ir::{BlockId, Program};
+use nascent::rangecheck::inx::rewrite_checks;
 use nascent::rangecheck::{
     optimize_program_logged, CheckKind, Discharge, Event, JustLog, OptimizeOptions, Scheme,
 };
@@ -115,6 +122,30 @@ fn tampered_hash(
     h.finish()
 }
 
+/// Prints one hash over the value-range analysis of every function of
+/// `src`, as compiled and after the INX rewrite (nothing for a source
+/// that does not compile: its cases say so).
+fn vra_line(label: &str, src: &str) {
+    let Ok(program) = compile(src) else {
+        return;
+    };
+    let mut h = DefaultHasher::new();
+    for inx in [false, true] {
+        for f in &program.functions {
+            let mut f = f.clone();
+            if inx {
+                rewrite_checks(&mut f);
+            }
+            let vra = analyze(&f);
+            let mut loads: Vec<_> = vra.load_ranges.iter().collect();
+            loads.sort_by_key(|(array, _)| **array);
+            let text = format!("{:?} {loads:?} {} {}", vra.entry, vra.visits, vra.capped);
+            text.hash(&mut h);
+        }
+    }
+    println!("{label} vra={:016x}", h.finish());
+}
+
 fn run_case(label: &str, src: &str, opts: &OptimizeOptions) {
     let naive = match compile(src) {
         Ok(p) => p,
@@ -167,6 +198,7 @@ fn describe(opts: &OptimizeOptions) -> String {
 fn main() {
     for scale in [Scale::Small, Scale::Paper] {
         for b in suite(scale) {
+            vra_line(&format!("{scale:?}/{}", b.name), &b.source);
             for config in full_matrix_configs() {
                 for discharge in [Discharge::Off, Discharge::On] {
                     let opts = config.opts.with_discharge(discharge);
@@ -186,12 +218,14 @@ fn main() {
         .chain((1000..1040u64).map(|s| (s, deep.clone())));
     for (seed, gen) in seeds {
         let src = random_program(seed, &gen);
+        vra_line(&format!("random/{seed}"), &src);
         for opts in scheme_configs() {
             run_case(&format!("random/{seed} {}", describe(&opts)), &src, &opts);
         }
     }
     for k in SCALING_KS {
         let src = scaling_program(k);
+        vra_line(&format!("scaling/{k}"), &src);
         for opts in scheme_configs() {
             run_case(&format!("scaling/{k} {}", describe(&opts)), &src, &opts);
         }
