@@ -2,28 +2,40 @@
 //! 42-configuration × 10-program matrix and proves the service path is
 //! **bit-identical** to the CLI path: every response's `result` object
 //! is compared byte-for-byte against a locally computed
-//! [`nascent_driver::compute`] outcome for the same request.
+//! [`nascent_driver::compute`] outcome for the same request. It also
+//! checks the service's observability surface end to end.
 //!
-//! Four phases:
+//! Six phases:
 //!
 //! 1. local reference outcomes for every (cell, mode) pair,
-//! 2. round A — N concurrent clients drain mixed `/optimize` +
+//! 2. one traced `POST /certify?trace=1` (LLS, discharge on, a cache
+//!    miss): the response must carry a `request_id` and a Chrome trace,
+//!    which is written to a file, read back as JSON, and must hold a span
+//!    per pipeline stage (`parse`, `naive-run`, `optimize`, `certify`,
+//!    `execute`) plus the `discharge` pass, at least one tagged with the
+//!    request id,
+//! 3. round A — N concurrent clients drain mixed `/optimize` +
 //!    `/certify` requests (every key a cache miss),
-//! 3. round B — the `/certify` half again (every key a cache hit; the
+//! 4. round B — the `/certify` half again (every key a cache hit; the
 //!    bytes must not change),
-//! 4. round C — mixed-engine requests (`"engine": "vm"` and
-//!    `"engine": "native"` for every program under one configuration),
-//!    proving the service's native tier is byte-identical to the VM
-//!    path and that its compile cache reports a non-zero hit rate in
-//!    `/metrics`. Skipped (with a named reason) when the host has no C
-//!    compiler.
+//! 5. round C — mixed-engine requests (`"engine": "vm"` and
+//!    `"engine": "native"` for every program under one configuration,
+//!    the `/optimize` half, then the `/certify` half), proving the
+//!    service's native tier is byte-identical to the VM path and that its
+//!    compile cache reports a non-zero hit rate in `/metrics`. Skipped
+//!    (with a named reason) when the host has no C compiler,
+//! 6. `GET /metrics` — the Prometheus exposition must pass
+//!    [`nascent_obs::metrics::validate_prom`] (every line, histogram
+//!    bucket monotonicity) and carry the stage, endpoint and engine
+//!    histograms and the elimination and cache series.
 //!
 //! Exit is non-zero if any request fails (non-200), any response
-//! diverges from the CLI path, or the service rejected anything
+//! diverges from the CLI path, a request id is missing or repeated, the
+//! traced request fails a check, or the service rejected anything
 //! (`503`) — the queue is sized so backpressure must never fire here.
 //!
-//! Usage: `bench_service [--addr HOST:PORT] [--clients N]` (default:
-//! in-process server, 64 clients).
+//! Usage: `bench_service [--addr HOST:PORT] [--clients N] [--trace FILE]`
+//! (default: in-process server, 64 clients, `obs_trace.json`).
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,9 +94,78 @@ fn body_json(source: &str, cfg: &Config, engine: Option<Engine>) -> String {
     obj(fields).render()
 }
 
+/// Sends the traced certify request, writes its trace to `path`, and
+/// checks both; returns a one-line summary.
+fn check_traced_request(addr: &str, program: &str, path: &str) -> Result<String, String> {
+    let body = obj(vec![
+        ("program", Json::Str(program.into())),
+        ("scheme", Json::Str("LLS".into())),
+        ("discharge", Json::Str("on".into())),
+    ])
+    .render();
+    let (status, resp) = request(addr, "POST", "/certify?trace=1", body.as_bytes())?;
+    if status != 200 {
+        return Err(format!(
+            "traced /certify -> {status}: {}",
+            String::from_utf8_lossy(&resp)
+        ));
+    }
+    let resp = parse(std::str::from_utf8(&resp).map_err(|e| e.to_string())?)?;
+    let request_id = resp
+        .get("request_id")
+        .and_then(Json::as_str)
+        .ok_or("traced response has no request_id")?;
+    let trace = resp
+        .get("trace")
+        .ok_or("traced response has no trace field")?;
+    std::fs::write(path, trace.render()).map_err(|e| format!("write {path}: {e}"))?;
+    // the written file must load as valid JSON on its own
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let reloaded = parse(&text).map_err(|e| format!("{path} is not JSON: {e}"))?;
+    let Some(Json::Arr(events)) = reloaded.get("traceEvents") else {
+        return Err("trace has no traceEvents array".into());
+    };
+    let names: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.get("name").and_then(Json::as_str))
+        .collect();
+    for stage in ["parse", "naive-run", "optimize", "certify", "execute"] {
+        if !names.contains(&stage) {
+            return Err(format!("trace has no `{stage}` stage span ({names:?})"));
+        }
+    }
+    if !names.contains(&"discharge") {
+        return Err("trace has no `discharge` pass span despite discharge on".into());
+    }
+    let tagged = events
+        .iter()
+        .filter(|e| {
+            e.get("args")
+                .and_then(|a| a.get("request_id"))
+                .and_then(Json::as_str)
+                == Some(request_id)
+        })
+        .count();
+    if tagged == 0 {
+        return Err("no trace span carries the response's request_id".into());
+    }
+    Ok(format!(
+        "{} spans ({tagged} tagged {request_id}) -> {path}",
+        events.len()
+    ))
+}
+
+/// The value of one series of a Prometheus exposition, e.g.
+/// `nascentd_cache{stat="hit_rate"}`.
+fn sample(prom: &str, series: &str) -> Option<f64> {
+    prom.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+}
+
 fn main() -> ExitCode {
     let mut addr_arg: Option<String> = None;
     let mut clients = 64usize;
+    let mut trace_path = "obs_trace.json".to_string();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -100,10 +181,14 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .expect("--clients needs a number");
             }
+            "--trace" => {
+                i += 1;
+                trace_path = args.get(i).expect("--trace needs a path").clone();
+            }
             other => {
                 eprintln!(
                     "bench_service: unknown argument `{other}` \
-                     (usage: bench_service [--addr HOST:PORT] [--clients N])"
+                     (usage: bench_service [--addr HOST:PORT] [--clients N] [--trace FILE])"
                 );
                 return ExitCode::FAILURE;
             }
@@ -177,6 +262,13 @@ fn main() -> ExitCode {
     });
     let addr = addr_arg.unwrap_or_else(|| in_process.as_ref().unwrap().addr.to_string());
 
+    // ---- traced request, sent first so that it is a cache miss ----
+    let traced = check_traced_request(&addr, &benches[0].source, &trace_path);
+    match &traced {
+        Ok(summary) => eprintln!("bench_service: trace ok — {summary}"),
+        Err(e) => eprintln!("bench_service: traced request FAILED: {e}"),
+    }
+
     // ---- rounds A and B: concurrent mixed requests + byte parity ----
     let divergences = AtomicUsize::new(0);
     let non_200 = AtomicUsize::new(0);
@@ -243,9 +335,11 @@ fn main() -> ExitCode {
     // ---- round C: mixed engines, exercising the service's native tier ----
     // One configuration, every program, both modes, under `engine: vm`
     // and `engine: native`. The two pipeline-cache keys per (program,
-    // engine=native) pair map to one optimized program, so the second
-    // request is a native compile-cache hit — the /metrics assertion
-    // below checks the cache actually reports it.
+    // engine=native) pair map to one optimized program. The certify half
+    // is sent once the optimize half has finished, so each native certify
+    // request is a compile-cache hit however many workers serve them (sent
+    // together, the pair runs at once and the second coalesces instead) —
+    // the /metrics assertion below checks the cache actually reports it.
     let native_jobs: Vec<Job> = if cc_available() {
         let cfg = configs
             .iter()
@@ -299,8 +393,13 @@ fn main() -> ExitCode {
         Vec::new()
     };
     if !native_jobs.is_empty() {
-        let pool: Vec<&Job> = native_jobs.iter().collect();
-        drive("C (mixed engines)", &pool);
+        for (round, path) in [
+            ("C (mixed engines, optimize)", "/optimize"),
+            ("C (mixed engines, certify)", "/certify"),
+        ] {
+            let pool: Vec<&Job> = native_jobs.iter().filter(|j| j.path == path).collect();
+            drive(round, &pool);
+        }
     }
 
     // ---- request ids: present in every response, unique across clients ----
@@ -315,16 +414,21 @@ fn main() -> ExitCode {
     );
 
     // ---- Prometheus exposition: scrape, validate, spot-check families ----
-    let (status, prom_body) =
-        request(&addr, "GET", "/metrics?format=prom", b"").expect("prom metrics reachable");
-    assert_eq!(status, 200, "prom metrics endpoint failed");
+    let (status, prom_body) = request(&addr, "GET", "/metrics", b"").expect("metrics reachable");
+    assert_eq!(status, 200, "metrics endpoint failed");
     let prom_text = String::from_utf8(prom_body).expect("prom metrics are utf-8");
     nascent_obs::metrics::validate_prom(&prom_text).expect("prom exposition validates");
     for needle in [
+        "# TYPE nascentd_requests_total counter",
+        "# TYPE nascentd_stage_duration_seconds histogram",
+        "nascentd_stage_duration_seconds_bucket{stage=\"parse\"",
         "nascentd_stage_duration_seconds_bucket{stage=\"optimize\"",
         "nascentd_stage_duration_seconds_bucket{stage=\"certify\"",
+        "nascentd_stage_duration_seconds_bucket{stage=\"execute\"",
         "nascentd_request_duration_seconds_bucket{endpoint=\"optimize\"",
+        "nascentd_request_duration_seconds_bucket{endpoint=\"certify\"",
         "nascentd_checks_eliminated_total{scheme=",
+        "nascentd_checks_eliminated_total{scheme=\"LLS\"}",
         "nascentd_native_cache{stat=\"hit_rate\"}",
         "nascentd_engine_duration_seconds_bucket{engine=\"native\"",
     ] {
@@ -339,33 +443,13 @@ fn main() -> ExitCode {
     );
 
     // ---- service-side accounting ----
-    let (status, body) = request(&addr, "GET", "/metrics", b"").expect("metrics reachable");
-    assert_eq!(status, 200, "metrics endpoint failed");
-    let metrics = parse(std::str::from_utf8(&body).expect("utf-8")).expect("metrics json");
-    let int_at = |a: &str, b: &str| {
-        metrics
-            .get(a)
-            .and_then(|v| v.get(b))
-            .and_then(Json::as_i64)
-            .unwrap_or(-1)
-    };
-    let num_at = |a: &str, b: &str| {
-        metrics
-            .get(a)
-            .and_then(|v| v.get(b))
-            .and_then(Json::as_f64)
-            .unwrap_or(-1.0)
-    };
-    let rejected = int_at("responses", "503");
-    let hit_rate = num_at("cache", "hit_rate");
-    let native_hit_rate = num_at("native_cache", "hit_rate");
-    assert!(
-        native_hit_rate >= 0.0,
-        "/metrics is missing the native_cache section"
-    );
+    let at = |series: &str| sample(&prom_text, series).unwrap_or(-1.0);
+    let rejected = at("nascentd_responses_total{code=\"503\"}");
+    let hit_rate = at("nascentd_cache{stat=\"hit_rate\"}");
+    let native_hit_rate = at("nascentd_native_cache{stat=\"hit_rate\"}");
     if !native_jobs.is_empty() {
         assert!(
-            int_at("native_cache", "compiles") > 0,
+            at("nascentd_native_cache{stat=\"compiles\"}") > 0.0,
             "mixed-engine round ran but the native compile cache reports no compiles"
         );
         assert!(
@@ -379,19 +463,24 @@ fn main() -> ExitCode {
     let non_200 = non_200.load(Ordering::Relaxed);
     eprintln!(
         "bench_service: non_200={non_200} divergences={divergences} rejected={rejected} \
-         cache_hit_rate={hit_rate:.4} native_cache_hit_rate={native_hit_rate:.4} \
-         p50={}ms p99={}ms",
-        num_at("latency_ms", "p50"),
-        num_at("latency_ms", "p99"),
+         cache_hit_rate={hit_rate:.4} native_cache_hit_rate={native_hit_rate:.4}"
     );
 
     if let Some(server) = in_process {
         server.stop();
     }
-    if non_200 > 0 || divergences > 0 || rejected != 0 || missing_ids > 0 || duplicate_ids > 0 {
+    if non_200 > 0
+        || divergences > 0
+        || rejected != 0.0
+        || missing_ids > 0
+        || duplicate_ids > 0
+        || traced.is_err()
+    {
         eprintln!(
             "bench_service: FAILED (non_200={non_200} divergences={divergences} \
-             rejected={rejected} missing_ids={missing_ids} duplicate_ids={duplicate_ids})"
+             rejected={rejected} missing_ids={missing_ids} duplicate_ids={duplicate_ids} \
+             traced_request_ok={})",
+            traced.is_ok()
         );
         return ExitCode::FAILURE;
     }

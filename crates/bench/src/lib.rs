@@ -13,9 +13,8 @@
 //! * `native_differential` — the tree/VM/native differential over the
 //!   full matrix, with the compile-cache and native-speedup checks,
 //! * `bench_service` — drives a `nascentd` instance with concurrent
-//!   clients and checks byte-parity against the in-process pipeline,
-//! * `obs_smoke` — checks a running `nascentd`'s traces and Prometheus
-//!   exposition.
+//!   clients and checks byte-parity against the in-process pipeline, a
+//!   traced request and the Prometheus exposition.
 //!
 //! None of them is a benchmark: the repository's performance numbers
 //! come from `perfbench` (see `BENCHMARK.json`).

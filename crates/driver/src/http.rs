@@ -4,13 +4,24 @@
 //! framing trivial and makes per-request backpressure exact: a queued
 //! connection is a queued request.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request body (a benchmark source is a few KB; 8 MiB
 /// leaves room for generated programs without letting a client pin
 /// unbounded memory).
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
+
+/// Largest accepted request line plus headers: the service reads a
+/// handful of short headers, so 64 KiB bounds the memory one client can
+/// pin before its body is even sized.
+pub const MAX_HEAD: usize = 64 * 1024;
+
+/// Time one request may take to arrive, counted from its first read: a
+/// client that sends nothing, or trickles bytes, is cut off after it
+/// instead of holding a worker.
+pub const READ_DEADLINE: Duration = Duration::from_secs(2);
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,14 +48,59 @@ impl HttpRequest {
     }
 }
 
-/// Reads one request from the stream. `Err` carries a human-readable
-/// reason suitable for a 400 response.
-pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
-    let mut reader = BufReader::new(stream);
+/// A stream whose reads share one deadline: each read blocks at most
+/// until it, so the whole request, not each read, is bounded in time.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timed_out = || {
+            io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("request not received within {READ_DEADLINE:?}"),
+            )
+        };
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(timed_out());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => timed_out(),
+            _ => e,
+        })
+    }
+}
+
+/// Reads one line of the request head, charging it to `budget`, the head
+/// bytes still allowed. A line the budget cuts short is an error.
+fn head_line(reader: &mut impl BufRead, budget: &mut u64) -> io::Result<String> {
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
+    let n = reader.take(*budget).read_line(&mut line)?;
+    *budget -= n as u64;
+    if *budget == 0 && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request line and headers exceed the {MAX_HEAD}-byte limit"),
+        ));
+    }
+    Ok(line)
+}
+
+/// Reads one request from the stream within [`READ_DEADLINE`] of the
+/// call, its head bounded by [`MAX_HEAD`] and its body by [`MAX_BODY`].
+/// `Err` carries a human-readable reason suitable for a 400 response.
+pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        deadline: Instant::now() + READ_DEADLINE,
+    });
+    let mut budget = MAX_HEAD as u64;
+    let line =
+        head_line(&mut reader, &mut budget).map_err(|e| format!("read request line: {e}"))?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let target = parts.next().ok_or("missing request target")?;
@@ -54,11 +110,9 @@ pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
     };
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| format!("read header: {e}"))?;
-        if n == 0 {
+        let header =
+            head_line(&mut reader, &mut budget).map_err(|e| format!("read header: {e}"))?;
+        if header.is_empty() {
             return Err("connection closed mid-headers".into());
         }
         let header = header.trim_end();

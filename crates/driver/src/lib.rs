@@ -20,10 +20,11 @@
 //!   function over [`evaluate`] behind `evaluate_prepared`,
 //!   `certify_prepared` and `run_matrix`, the table configurations)
 //!   that the `crates/bench` binaries import,
-//! * [`service`] — the `nascentd` HTTP+JSON server: a bounded
-//!   work-stealing pool with semaphore backpressure and per-request
-//!   panic isolation serving `/optimize`, `/certify`, `/healthz`, and
-//!   `/metrics`.
+//! * [`service`] — the `nascentd` HTTP+JSON server: a bounded worker
+//!   pool fed by one FIFO job queue that answers `503` when full, with
+//!   deadline- and size-bounded request reads and per-request panic
+//!   isolation, serving `/optimize`, `/certify`, `/healthz`, and
+//!   `/metrics` (Prometheus text).
 //!
 //! The cache composes with the PR-2 invalidation tiers rather than
 //! replacing them: a [`Pipeline`] hit short-circuits the whole request

@@ -5,16 +5,17 @@
 //!
 //! * an **acceptor** thread owns the listening socket; each accepted
 //!   connection is one request (`Connection: close`),
-//! * admission goes through a **semaphore-limited queue**: when
-//!   `queue_limit` requests are already admitted and unfinished, new
-//!   connections are rejected immediately with `503` — backpressure is
-//!   explicit, not an unbounded backlog (`GET /healthz` and
-//!   `GET /metrics` are exempt and answer even at saturation),
-//! * admitted connections are dealt round-robin to a **bounded
-//!   work-stealing pool**: every worker owns a deque, pops its own work
-//!   from the front, and steals from siblings' backs when idle, so one
-//!   slow request (a `certify` of a large program) never stalls the
-//!   queue behind it,
+//! * admitted connections wait in **one FIFO job queue**: one mutex over
+//!   the waiting connections and the count of admitted-but-unfinished
+//!   ones, and one condvar that workers sleep on. When `queue_limit`
+//!   connections are admitted and unfinished, new ones are rejected
+//!   immediately with `503` — backpressure is explicit, not an unbounded
+//!   backlog (`GET /healthz` and `GET /metrics` are exempt and answer
+//!   even at saturation),
+//! * a **bounded pool** of workers pops the queue from the front; each
+//!   request must arrive within
+//!   [`READ_DEADLINE`](crate::http::READ_DEADLINE) of its first read, so
+//!   an idle or trickling client cannot hold a worker,
 //! * every request body is handled under **panic isolation**
 //!   ([`std::panic::catch_unwind`] here, plus the cache-level isolation
 //!   in [`crate::cache`]): a panicking request produces a `500` for its
@@ -27,15 +28,12 @@
 //! (echoed as `request_id` in success and error bodies, and carried on
 //! the worker thread so any span recorded while handling the request is
 //! tagged with it); all counters live in an obs
-//! [`metrics::Registry`](nascent_obs::metrics::Registry), rendered as
-//! the stable JSON `/metrics` document *and* as Prometheus text format
-//! under `GET /metrics?format=prom` (per-endpoint latency histograms,
-//! per-stage pipeline timings, cache traffic, per-scheme elimination
-//! totals); latency percentiles come from a fixed-capacity
-//! [`Reservoir`], so memory stays
-//! bounded across any number of requests; and `?trace=1` on a pipeline
-//! endpoint captures that request's spans with a scoped collector and
-//! embeds the Chrome-trace JSON in the response.
+//! [`metrics::Registry`](nascent_obs::metrics::Registry), which
+//! `GET /metrics` renders as Prometheus text format (per-endpoint and
+//! per-engine latency histograms, per-stage pipeline timings, cache and
+//! pool gauges, per-scheme elimination totals); and `?trace=1` on a
+//! pipeline endpoint captures that request's spans with a scoped
+//! collector and embeds the Chrome-trace JSON in the response.
 //!
 //! Endpoints: `POST /optimize`, `POST /certify`, `GET /healthz`,
 //! `GET /metrics`.
@@ -43,14 +41,13 @@
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nascent_interp::{Engine, Limits};
 use nascent_obs::memo::Role;
-use nascent_obs::metrics::{percentile, Counter, Gauge, Histogram, Registry, Reservoir};
+use nascent_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use nascent_obs::trace::{chrome_trace_json, set_request_id, ScopedCollector};
 
 use crate::cache::panic_message;
@@ -60,10 +57,6 @@ use crate::config::{
 use crate::http::{read_request, write_response, HttpRequest};
 use crate::json::{obj, parse, Json};
 use crate::{harness, Outcome, Pipeline, Request, RunConfig};
-
-/// Samples held by the latency reservoir: enough for stable p99s, fixed
-/// however many requests the process serves.
-pub const LATENCY_RESERVOIR: usize = 4096;
 
 /// Content type for Prometheus text exposition format.
 const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -103,41 +96,8 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Counting semaphore (admission control).
-struct Semaphore {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Semaphore {
-    fn new(permits: usize) -> Semaphore {
-        Semaphore {
-            permits: Mutex::new(permits),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Non-blocking acquire; `false` means the queue is full.
-    fn try_acquire(&self) -> bool {
-        let mut p = self.permits.lock().expect("semaphore lock");
-        if *p > 0 {
-            *p -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn release(&self) {
-        *self.permits.lock().expect("semaphore lock") += 1;
-        self.cv.notify_one();
-    }
-}
-
 /// Service-wide telemetry: an obs [`Registry`] plus cheap handles into
-/// it, a bounded latency [`Reservoir`], and the pool's queued count.
-/// `/metrics` renders the registry twice — the stable JSON document and
-/// Prometheus text format — from the same underlying counters.
+/// it. `/metrics` renders the registry as Prometheus text format.
 pub struct Metrics {
     registry: Registry,
     optimize_requests: Counter,
@@ -147,10 +107,9 @@ pub struct Metrics {
     /// Response counters for 200/400/404/405/500/503, in that order.
     responses: [Counter; 6],
     panics_isolated: Counter,
-    stolen: Counter,
-    /// Live queued count (inc/dec; mirrored into a gauge at render time).
-    queued: AtomicUsize,
-    queued_gauge: Gauge,
+    /// Connections waiting for a worker, read from the queue at render
+    /// time.
+    queued: Gauge,
     /// Cache gauges, synced from [`Pipeline::cache_stats`] at render time.
     cache_hits: Gauge,
     cache_misses: Gauge,
@@ -164,8 +123,6 @@ pub struct Metrics {
     native_coalesced: Gauge,
     native_entries: Gauge,
     native_hit_rate: Gauge,
-    /// Completed pipeline-request latencies (µs), bounded window.
-    latencies: Reservoir,
     optimize_latency: Histogram,
     certify_latency: Histogram,
     /// Pipeline-request latency by execution engine (tree/vm/native).
@@ -248,15 +205,9 @@ impl Metrics {
                 "Request panics caught without losing a worker",
                 &[],
             ),
-            stolen: registry.counter(
-                "nascentd_pool_stolen_total",
-                "Jobs stolen from a sibling worker's deque",
-                &[],
-            ),
-            queued: AtomicUsize::new(0),
-            queued_gauge: registry.gauge(
+            queued: registry.gauge(
                 "nascentd_pool_queued",
-                "Connections admitted but not yet finished",
+                "Admitted connections waiting for a worker",
                 &[],
             ),
             cache_hits: cache_gauge("hits"),
@@ -269,7 +220,6 @@ impl Metrics {
             native_coalesced: native_gauge("coalesced"),
             native_entries: native_gauge("entries"),
             native_hit_rate: native_gauge("hit_rate"),
-            latencies: Reservoir::new(LATENCY_RESERVOIR),
             optimize_latency: lat("optimize"),
             certify_latency: lat("certify"),
             engine_latency: ENGINES.map(|e| {
@@ -294,7 +244,6 @@ impl Metrics {
     }
 
     fn record_latency(&self, mode: Mode, engine: Engine, d: Duration) {
-        self.latencies.observe(d.as_micros() as u64);
         match mode {
             Mode::Optimize => self.optimize_latency.observe_duration(d),
             Mode::Certify => self.certify_latency.observe_duration(d),
@@ -333,9 +282,10 @@ impl Metrics {
             .add(dynamic_gone);
     }
 
-    /// Syncs the render-time gauges (cache traffic, queued count) from
+    /// Prometheus text exposition of every registry family, with the
+    /// render-time gauges (cache traffic, queued count) first synced from
     /// their sources of truth.
-    fn sync_gauges(&self, pipeline: &Pipeline) {
+    fn render_prom(&self, pipeline: &Pipeline, queued: usize) -> String {
         let cache = pipeline.cache_stats();
         self.cache_hits.set(cache.hits as f64);
         self.cache_misses.set(cache.misses as f64);
@@ -350,106 +300,30 @@ impl Metrics {
         self.native_entries.set(native.entries as f64);
         self.native_hit_rate
             .set((native.hit_rate() * 1e4).round() / 1e4);
-        self.queued_gauge
-            .set(self.queued.load(Ordering::Relaxed) as f64);
-    }
-
-    /// Prometheus text exposition of every registry family.
-    fn render_prom(&self, pipeline: &Pipeline) -> String {
-        self.sync_gauges(pipeline);
+        self.queued.set(queued as f64);
         self.registry.render_prom()
     }
+}
 
-    fn render(&self, pipeline: &Pipeline, workers: usize, queue_limit: usize) -> Json {
-        let cache = pipeline.cache_stats();
-        let native = nascent_cback::native::global_stats();
-        let (total, window, lat) = self.latencies.snapshot();
-        let ms = |v: f64| Json::Num((v * 1e3).round() / 1e3);
-        let pct = |p: f64| ms(percentile(&lat, p) / 1e3);
-        obj(vec![
-            (
-                "requests",
-                obj(vec![
-                    ("optimize", Json::Int(self.optimize_requests.get() as i64)),
-                    ("certify", Json::Int(self.certify_requests.get() as i64)),
-                    ("healthz", Json::Int(self.healthz_requests.get() as i64)),
-                    ("metrics", Json::Int(self.metrics_requests.get() as i64)),
-                ]),
-            ),
-            (
-                "responses",
-                obj(RESPONSE_CODES
-                    .iter()
-                    .zip(&self.responses)
-                    .map(|(code, c)| (*code, Json::Int(c.get() as i64)))
-                    .collect()),
-            ),
-            (
-                "cache",
-                obj(vec![
-                    ("hits", Json::Int(cache.hits as i64)),
-                    ("misses", Json::Int(cache.misses as i64)),
-                    ("coalesced", Json::Int(cache.coalesced as i64)),
-                    ("entries", Json::Int(cache.entries as i64)),
-                    (
-                        "hit_rate",
-                        Json::Num((cache.hit_rate() * 1e4).round() / 1e4),
-                    ),
-                ]),
-            ),
-            (
-                "native_cache",
-                obj(vec![
-                    ("hits", Json::Int(native.hits as i64)),
-                    ("compiles", Json::Int(native.compiles as i64)),
-                    ("coalesced", Json::Int(native.coalesced as i64)),
-                    ("entries", Json::Int(native.entries as i64)),
-                    (
-                        "hit_rate",
-                        Json::Num((native.hit_rate() * 1e4).round() / 1e4),
-                    ),
-                ]),
-            ),
-            (
-                "latency_ms",
-                obj(vec![
-                    ("count", Json::Int(total as i64)),
-                    ("window", Json::Int(window as i64)),
-                    ("p50", pct(0.50)),
-                    ("p90", pct(0.90)),
-                    ("p99", pct(0.99)),
-                    ("max", ms(lat.last().copied().unwrap_or(0) as f64 / 1e3)),
-                ]),
-            ),
-            (
-                "pool",
-                obj(vec![
-                    ("workers", Json::Int(workers as i64)),
-                    ("queue_limit", Json::Int(queue_limit as i64)),
-                    (
-                        "queued",
-                        Json::Int(self.queued.load(Ordering::Relaxed) as i64),
-                    ),
-                    ("stolen", Json::Int(self.stolen.get() as i64)),
-                    (
-                        "panics_isolated",
-                        Json::Int(self.panics_isolated.get() as i64),
-                    ),
-                ]),
-            ),
-        ])
-    }
+/// The job queue, behind [`Shared::queue`].
+struct Queue {
+    /// Admitted connections no worker has taken yet, oldest first.
+    waiting: VecDeque<TcpStream>,
+    /// Connections admitted and not yet finished, waiting or in service:
+    /// the count the backpressure bound applies to.
+    admitted: usize,
+    /// Set by [`ServerHandle::stop`]: workers exit instead of taking more
+    /// work, and the acceptor stops accepting.
+    shutdown: bool,
 }
 
 struct Shared {
     config: ServiceConfig,
     pipeline: Pipeline,
     metrics: Metrics,
-    deques: Vec<Mutex<VecDeque<TcpStream>>>,
-    wakeup: Condvar,
-    wakeup_lock: Mutex<()>,
-    admission: Semaphore,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled when a connection is queued and on shutdown.
+    work: Condvar,
 }
 
 /// A running service; dropping the handle does **not** stop it — call
@@ -471,15 +345,17 @@ impl ServerHandle {
     /// Requests shutdown and joins every thread. In-flight requests
     /// finish; queued-but-unstarted connections are dropped.
     pub fn stop(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            let mut queue = self.shared.queue.lock().expect("queue lock");
+            queue.shutdown = true;
+            self.shared.work.notify_all();
+        }
         // unblock the acceptor with one last connection
         let _ = TcpStream::connect(self.addr);
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        self.shared.wakeup.notify_all();
         for w in self.workers.drain(..) {
-            self.shared.wakeup.notify_all();
             let _ = w.join();
         }
     }
@@ -494,11 +370,12 @@ pub fn start(config: ServiceConfig) -> Result<ServerHandle, String> {
     let shared = Arc::new(Shared {
         pipeline: Pipeline::with_limits(config.limits),
         metrics: Metrics::new(workers, config.queue_limit),
-        deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        wakeup: Condvar::new(),
-        wakeup_lock: Mutex::new(()),
-        admission: Semaphore::new(config.queue_limit.max(1)),
-        shutdown: AtomicBool::new(false),
+        queue: Mutex::new(Queue {
+            waiting: VecDeque::new(),
+            admitted: 0,
+            shutdown: false,
+        }),
+        work: Condvar::new(),
         config,
     });
 
@@ -508,7 +385,7 @@ pub fn start(config: ServiceConfig) -> Result<ServerHandle, String> {
         worker_handles.push(
             std::thread::Builder::new()
                 .name(format!("nascentd-worker-{id}"))
-                .spawn(move || worker_loop(id, &shared))
+                .spawn(move || worker_loop(&shared))
                 .map_err(|e| e.to_string())?,
         );
     }
@@ -528,90 +405,63 @@ pub fn start(config: ServiceConfig) -> Result<ServerHandle, String> {
 }
 
 fn acceptor_loop(listener: TcpListener, shared: &Shared) {
-    let mut next_worker = 0usize;
+    let limit = shared.config.queue_limit.max(1);
     for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        let Ok(mut stream) = conn else { continue };
+        let mut queue = shared.queue.lock().expect("queue lock");
+        if queue.shutdown {
             break;
         }
-        let Ok(mut stream) = conn else { continue };
-        if !shared.admission.try_acquire() {
-            // backpressure: the admitted-request budget is spent. Drain the
-            // request first (bounded by a short timeout) — closing with
-            // unread bytes in the socket would turn the polite 503 into a
-            // connection reset on the client side.
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-            let request = read_request(&mut stream);
-            // GET endpoints stay responsive even when the work queue is
-            // full: a /healthz that 503s under load would make an
-            // orchestrator kill a busy-but-healthy instance, and /metrics
-            // is exactly what an operator wants to see at saturation.
-            // They do cheap in-memory reads, so serving them here on the
-            // acceptor thread is safe.
-            if let Ok(r) = &request {
-                if r.method == "GET" {
-                    let (status, body, content_type) = route(r, shared);
-                    shared.metrics.count_response(status);
-                    write_response(&mut stream, status, content_type, body.as_bytes());
-                    continue;
-                }
-            }
-            shared.metrics.count_response(503);
-            let body = obj(vec![
-                ("status", Json::Str("error".into())),
-                ("error", Json::Str("queue full".into())),
-            ])
-            .render();
-            write_response(&mut stream, 503, JSON_CONTENT_TYPE, body.as_bytes());
+        if queue.admitted < limit {
+            queue.admitted += 1;
+            queue.waiting.push_back(stream);
+            // notified after unlocking, so the woken worker does not
+            // sleep again on the lock; it re-checks the queue under it
+            drop(queue);
+            shared.work.notify_one();
             continue;
         }
-        shared.metrics.queued.fetch_add(1, Ordering::Relaxed);
-        let slot = next_worker % shared.deques.len();
-        next_worker = next_worker.wrapping_add(1);
-        shared.deques[slot]
-            .lock()
-            .expect("deque lock")
-            .push_back(stream);
-        shared.wakeup.notify_all();
+        drop(queue);
+        // backpressure: the admitted-request budget is spent. Drain the
+        // request first (within the read deadline) — closing with unread
+        // bytes in the socket would turn the polite 503 into a connection
+        // reset on the client side.
+        let request = read_request(&mut stream);
+        // GET endpoints stay responsive even when the work queue is
+        // full: a /healthz that 503s under load would make an
+        // orchestrator kill a busy-but-healthy instance, and /metrics
+        // is exactly what an operator wants to see at saturation.
+        // They do cheap in-memory reads, so serving them here on the
+        // acceptor thread is safe.
+        if let Ok(r) = &request {
+            if r.method == "GET" {
+                let (status, body, content_type) = route(r, shared);
+                shared.metrics.count_response(status);
+                write_response(&mut stream, status, content_type, body.as_bytes());
+                continue;
+            }
+        }
+        shared.metrics.count_response(503);
+        let body = obj(vec![
+            ("status", Json::Str("error".into())),
+            ("error", Json::Str("queue full".into())),
+        ])
+        .render();
+        write_response(&mut stream, 503, JSON_CONTENT_TYPE, body.as_bytes());
     }
 }
 
-fn take_job(id: usize, shared: &Shared) -> Option<(TcpStream, bool)> {
-    if let Some(job) = shared.deques[id].lock().expect("deque lock").pop_front() {
-        return Some((job, false));
-    }
-    for other in 0..shared.deques.len() {
-        if other == id {
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.queue.lock().expect("queue lock");
+    while !queue.shutdown {
+        let Some(stream) = queue.waiting.pop_front() else {
+            queue = shared.work.wait(queue).expect("queue lock");
             continue;
-        }
-        if let Some(job) = shared.deques[other].lock().expect("deque lock").pop_back() {
-            return Some((job, true));
-        }
-    }
-    None
-}
-
-fn worker_loop(id: usize, shared: &Shared) {
-    loop {
-        match take_job(id, shared) {
-            Some((stream, stolen)) => {
-                shared.metrics.queued.fetch_sub(1, Ordering::Relaxed);
-                if stolen {
-                    shared.metrics.stolen.inc();
-                }
-                serve_connection(stream, shared);
-                shared.admission.release();
-            }
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let guard = shared.wakeup_lock.lock().expect("wakeup lock");
-                let _ = shared
-                    .wakeup
-                    .wait_timeout(guard, Duration::from_millis(20))
-                    .expect("wakeup wait");
-            }
-        }
+        };
+        drop(queue);
+        serve_connection(stream, shared);
+        queue = shared.queue.lock().expect("queue lock");
+        queue.admitted -= 1;
     }
 }
 
@@ -674,19 +524,9 @@ fn route(request: &HttpRequest, shared: &Shared) -> (u16, String, &'static str) 
         }
         ("GET", "/metrics") => {
             shared.metrics.metrics_requests.inc();
-            if request.query_param("format") == Some("prom") {
-                let body = shared.metrics.render_prom(&shared.pipeline);
-                return (200, body, PROM_CONTENT_TYPE);
-            }
-            let body = shared
-                .metrics
-                .render(
-                    &shared.pipeline,
-                    shared.deques.len(),
-                    shared.config.queue_limit,
-                )
-                .render();
-            (200, body, JSON_CONTENT_TYPE)
+            let queued = shared.queue.lock().expect("queue lock").waiting.len();
+            let body = shared.metrics.render_prom(&shared.pipeline, queued);
+            (200, body, PROM_CONTENT_TYPE)
         }
         ("POST", "/optimize") => {
             shared.metrics.optimize_requests.inc();

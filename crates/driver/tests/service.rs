@@ -1,14 +1,18 @@
 //! In-process integration tests for the `nascentd` service: endpoint
-//! behavior, concurrency, backpressure, panic isolation, and
-//! byte-parity between the service and the CLI pipeline path.
+//! behavior, concurrency, backpressure, slow clients, panic isolation,
+//! and byte-parity between the service and the CLI pipeline path.
 
-use std::sync::Arc;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use nascent_driver::config::Mode;
-use nascent_driver::http::request;
+use nascent_driver::http::{request, MAX_HEAD, READ_DEADLINE};
 use nascent_driver::json::{parse, Json};
 use nascent_driver::service::{start, ServerHandle, ServiceConfig};
 use nascent_driver::{compute, harness, Request, RunConfig};
+use nascent_obs::metrics::validate_prom;
 
 const PROGRAM: &str = "program servicetest
  integer a(1:40)
@@ -44,6 +48,27 @@ fn addr(h: &ServerHandle) -> String {
     h.addr.to_string()
 }
 
+/// `GET /metrics`: the Prometheus exposition, checked by the validator.
+fn scrape(a: &str) -> String {
+    let (status, body) = request(a, "GET", "/metrics", b"").unwrap();
+    assert_eq!(status, 200);
+    let prom = String::from_utf8(body).unwrap();
+    validate_prom(&prom).expect("exposition format validates");
+    prom
+}
+
+/// The value of one series of an exposition, e.g.
+/// `nascentd_cache{stat="hits"}`.
+fn sample(prom: &str, series: &str) -> Option<f64> {
+    prom.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+}
+
+/// The `# TYPE` lines of an exposition: its families and their kinds.
+fn families(prom: &str) -> Vec<&str> {
+    prom.lines().filter(|l| l.starts_with("# TYPE ")).collect()
+}
+
 #[test]
 fn healthz_and_metrics_respond() {
     let server = test_server();
@@ -56,12 +81,42 @@ fn healthz_and_metrics_respond() {
             .and_then(Json::as_str),
         Some("ok")
     );
-    let (status, body) = request(&addr(&server), "GET", "/metrics", b"").unwrap();
+    let prom = scrape(&addr(&server));
+    for series in [
+        "nascentd_cache{stat=\"hits\"}",
+        "nascentd_request_duration_seconds_count{endpoint=\"certify\"}",
+        "nascentd_pool_workers",
+        "nascentd_pool_queued",
+    ] {
+        assert!(sample(&prom, series).is_some(), "no `{series}` in:\n{prom}");
+    }
+    server.stop();
+}
+
+/// `/metrics` has one rendering: the Prometheus text, with or without a
+/// `format` query.
+#[test]
+fn metrics_answers_prometheus_text_without_a_query() {
+    let server = test_server();
+    let a = addr(&server);
+    let mut stream = TcpStream::connect(&a).unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    assert!(
+        head.contains("\r\nContent-Type: text/plain; version=0.0.4\r\n"),
+        "{head}"
+    );
+    validate_prom(body).expect("exposition format validates");
+    let (status, prom) = request(&a, "GET", "/metrics?format=prom", b"").unwrap();
     assert_eq!(status, 200);
-    let metrics = parse(std::str::from_utf8(&body).unwrap()).unwrap();
-    assert!(metrics.get("cache").is_some());
-    assert!(metrics.get("latency_ms").is_some());
-    assert!(metrics.get("pool").is_some());
+    let prom = String::from_utf8(prom).unwrap();
+    assert!(!families(body).is_empty());
+    assert_eq!(families(body), families(&prom));
     server.stop();
 }
 
@@ -170,13 +225,8 @@ fn a_panicking_request_is_isolated() {
     // the pool survives: normal requests still work afterwards
     let (status, _) = request(&a, "POST", "/optimize", body_for(PROGRAM, "NI").as_bytes()).unwrap();
     assert_eq!(status, 200);
-    let (_, body) = request(&a, "GET", "/metrics", b"").unwrap();
-    let metrics = parse(std::str::from_utf8(&body).unwrap()).unwrap();
-    let isolated = metrics
-        .get("pool")
-        .and_then(|p| p.get("panics_isolated"))
-        .and_then(Json::as_i64);
-    assert_eq!(isolated, Some(1));
+    let prom = scrape(&a);
+    assert_eq!(sample(&prom, "nascentd_panics_isolated_total"), Some(1.0));
     server.stop();
 }
 
@@ -311,18 +361,15 @@ fn cached_flag_and_cache_hit_rate_are_reported() {
         first.get("result").unwrap().render(),
         second.get("result").unwrap().render()
     );
-    let (_, metrics) = request(&a, "GET", "/metrics", b"").unwrap();
-    let metrics = parse(std::str::from_utf8(&metrics).unwrap()).unwrap();
-    let hits = metrics
-        .get("cache")
-        .and_then(|c| c.get("hits"))
-        .and_then(Json::as_i64);
-    assert_eq!(hits, Some(1));
-    let p50 = metrics
-        .get("latency_ms")
-        .and_then(|l| l.get("p50"))
-        .and_then(Json::as_f64);
-    assert!(p50.is_some());
+    let prom = scrape(&a);
+    assert_eq!(sample(&prom, "nascentd_cache{stat=\"hits\"}"), Some(1.0));
+    assert_eq!(
+        sample(
+            &prom,
+            "nascentd_request_duration_seconds_count{endpoint=\"certify\"}"
+        ),
+        Some(2.0)
+    );
     server.stop();
 }
 
@@ -469,7 +516,7 @@ fn prometheus_exposition_validates_and_reflects_traffic() {
     let (status, prom) = request(&a, "GET", "/metrics?format=prom", b"").unwrap();
     assert_eq!(status, 200);
     let prom = String::from_utf8(prom).unwrap();
-    nascent_obs::metrics::validate_prom(&prom).expect("exposition format validates");
+    validate_prom(&prom).expect("exposition format validates");
     for needle in [
         "nascentd_requests_total{endpoint=\"optimize\"} 2",
         "nascentd_requests_total{endpoint=\"certify\"} 1",
@@ -481,12 +528,6 @@ fn prometheus_exposition_validates_and_reflects_traffic() {
     ] {
         assert!(prom.contains(needle), "missing `{needle}` in:\n{prom}");
     }
-    // the JSON rendering still answers on the same path, same shape
-    let (status, json) = request(&a, "GET", "/metrics", b"").unwrap();
-    assert_eq!(status, 200);
-    let metrics = parse(std::str::from_utf8(&json).unwrap()).unwrap();
-    assert!(metrics.get("requests").is_some());
-    assert!(metrics.get("latency_ms").is_some());
     server.stop();
 }
 
@@ -563,8 +604,7 @@ fn traced_request_embeds_a_nested_chrome_trace() {
 }
 
 #[test]
-fn latency_window_stays_bounded_over_a_soak() {
-    use nascent_driver::service::LATENCY_RESERVOIR;
+fn latency_count_stays_exact_over_a_soak() {
     let server = test_server();
     let a = addr(&server);
     const SOAK: usize = 10_000;
@@ -585,18 +625,132 @@ fn latency_window_stays_bounded_over_a_soak() {
         }
     });
     let sent = 1 + 8 * ((SOAK - 1) / 8);
-    let (_, body) = request(&a, "GET", "/metrics", b"").unwrap();
-    let metrics = parse(std::str::from_utf8(&body).unwrap()).unwrap();
-    let lat = metrics.get("latency_ms").unwrap();
+    let prom = scrape(&a);
     assert_eq!(
-        lat.get("count").and_then(Json::as_i64),
-        Some(sent as i64),
+        sample(
+            &prom,
+            "nascentd_request_duration_seconds_count{endpoint=\"optimize\"}"
+        ),
+        Some(sent as f64),
         "lifetime sample count is exact"
     );
-    let window = lat.get("window").and_then(Json::as_i64).unwrap();
-    assert!(
-        window <= LATENCY_RESERVOIR as i64,
-        "sample window {window} exceeds the reservoir bound {LATENCY_RESERVOIR}"
+    server.stop();
+}
+
+/// Slack for a deadline check on a loaded test machine.
+const MARGIN: Duration = Duration::from_secs(2);
+
+/// Reads `stream` until the server drops it, then sends on `tx`.
+fn report_drop(mut stream: TcpStream, tx: mpsc::Sender<()>) {
+    std::thread::spawn(move || {
+        let mut sink = Vec::new();
+        let _ = stream.read_to_end(&mut sink);
+        let _ = tx.send(());
+    });
+}
+
+/// On a one-worker server, a client that sends nothing and one that
+/// trickles a header byte every 500 ms are each cut off by the read
+/// deadline, and a `/healthz` queued behind them answers.
+#[test]
+fn idle_and_trickling_clients_cannot_hold_a_worker() {
+    let server = start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let a = addr(&server);
+    let start = Instant::now();
+    let (idle_tx, idle_rx) = mpsc::channel();
+    report_drop(TcpStream::connect(&a).unwrap(), idle_tx);
+
+    let trickle = TcpStream::connect(&a).unwrap();
+    let (trickle_tx, trickle_rx) = mpsc::channel();
+    report_drop(trickle.try_clone().unwrap(), trickle_tx);
+    std::thread::spawn(move || {
+        let mut trickle = trickle;
+        let head = b"GET /healthz HTTP/1.1\r\nX-Slow: ";
+        for byte in head.iter().chain(std::iter::repeat(&b'x')).take(100) {
+            if trickle.write_all(&[*byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(500));
+        }
+    });
+
+    let (health_tx, health_rx) = mpsc::channel();
+    {
+        let a = a.clone();
+        std::thread::spawn(move || {
+            let _ = health_tx.send(request(&a, "GET", "/healthz", b"").map(|r| r.0));
+        });
+    }
+    // the idle socket is served first and the trickling one once the
+    // idle one is gone, so each is dropped one deadline after the one
+    // before it, and the /healthz then answers
+    let by = |deadlines: u32| {
+        (start + deadlines * READ_DEADLINE + MARGIN).saturating_duration_since(Instant::now())
+    };
+    idle_rx
+        .recv_timeout(by(1))
+        .expect("idle socket dropped within the read deadline");
+    trickle_rx
+        .recv_timeout(by(2))
+        .expect("trickling socket dropped within the read deadline");
+    let health = health_rx
+        .recv_timeout(by(2))
+        .expect("/healthz answered behind the slow clients");
+    assert_eq!(health, Ok(200));
+    server.stop();
+}
+
+/// `stop()` returns while an idle socket holds the only worker: the read
+/// deadline frees it.
+#[test]
+fn stop_returns_while_an_idle_socket_is_admitted() {
+    let server = start(ServiceConfig {
+        workers: 1,
+        queue_limit: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let a = addr(&server);
+    let _idle = TcpStream::connect(&a).unwrap();
+    // with the one admission slot spent, this GET is served inline by
+    // the acceptor, which therefore admitted the idle socket before it
+    let (status, _) = request(&a, "GET", "/healthz", b"").unwrap();
+    assert_eq!(status, 200);
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(READ_DEADLINE + MARGIN)
+        .expect("stop() returned within the read deadline");
+}
+
+/// A request line plus headers over [`MAX_HEAD`] is refused with a 400
+/// that names the limit.
+#[test]
+fn oversized_request_head_gets_400() {
+    let server = test_server();
+    let a = addr(&server);
+    let mut stream = TcpStream::connect(&a).unwrap();
+    let head = format!(
+        "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "x".repeat(MAX_HEAD)
     );
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = stream.write_all(head.as_bytes());
+        let mut response = Vec::new();
+        let _ = stream.read_to_end(&mut response);
+        let _ = tx.send(String::from_utf8_lossy(&response).into_owned());
+    });
+    let response = rx
+        .recv_timeout(READ_DEADLINE + MARGIN)
+        .expect("oversized head answered");
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains(&MAX_HEAD.to_string()), "{response}");
     server.stop();
 }

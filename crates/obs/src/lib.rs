@@ -15,10 +15,9 @@
 //!   `tests/overhead.rs` holds the whole layer to ≤1% of suite total.
 //! * [`metrics`] — a registry of named counters, gauges, and
 //!   fixed-bucket histograms with Prometheus text-format rendering
-//!   ([`metrics::Registry::render_prom`]) and an exposition-format
-//!   validator ([`metrics::validate_prom`]); plus [`metrics::Reservoir`],
-//!   a fixed-size ring buffer for latency percentiles that stays bounded
-//!   however many requests flow through it.
+//!   ([`metrics::Registry::render_prom`], the one `/metrics` exposition)
+//!   and an exposition-format validator ([`metrics::validate_prom`]). A
+//!   histogram's memory is fixed however many requests flow through it.
 //! * request ids ([`mint_request_id`] / [`trace::set_request_id`]) —
 //!   minted per service request, carried in a thread-local so every span
 //!   recorded while handling the request is tagged with it, and echoed

@@ -1,16 +1,17 @@
-//! Metrics registry: counters, gauges, fixed-bucket histograms, a
-//! bounded latency reservoir, Prometheus text-format rendering, and an
-//! exposition-format validator.
+//! Metrics registry: counters, gauges, fixed-bucket histograms,
+//! Prometheus text-format rendering, and an exposition-format validator.
 //!
 //! The registry hands out cheap atomic handles ([`Counter`], [`Gauge`],
 //! [`Histogram`]) keyed by `(name, labels)`; the hot path never touches
 //! the registry lock again. [`Registry::render_prom`] renders the whole
 //! registry in Prometheus exposition format — `# HELP`/`# TYPE` comments,
 //! one sample per series, cumulative `_bucket{le=...}` series plus
-//! `_sum`/`_count` for histograms — and [`validate_prom`] parses that
+//! `_sum`/`_count` for histograms — and is the one rendering `nascentd`
+//! serves at `/metrics`. A histogram's `_count` is exact and its memory
+//! fixed however many observations arrive. [`validate_prom`] parses the
 //! format back, checking every line and the monotonicity of histogram
-//! buckets (the `obs-smoke` CI job and the service tests run it against
-//! a live `/metrics?format=prom` scrape).
+//! buckets (`bench_service`, its CI job and the service tests run it
+//! against a live `/metrics` scrape).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -295,72 +296,6 @@ fn render_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// A fixed-capacity ring buffer of latency samples (microseconds):
-/// percentiles over a sliding window of the most recent `capacity`
-/// observations, total count kept exactly — memory stays bounded
-/// however many requests flow through.
-#[derive(Debug)]
-pub struct Reservoir {
-    capacity: usize,
-    inner: Mutex<ReservoirInner>,
-}
-
-#[derive(Debug)]
-struct ReservoirInner {
-    buf: Vec<u64>,
-    next: usize,
-    total: u64,
-}
-
-impl Reservoir {
-    /// A reservoir holding at most `capacity` samples.
-    pub fn new(capacity: usize) -> Reservoir {
-        Reservoir {
-            capacity: capacity.max(1),
-            inner: Mutex::new(ReservoirInner {
-                buf: Vec::new(),
-                next: 0,
-                total: 0,
-            }),
-        }
-    }
-
-    /// Records one sample, evicting the oldest once full.
-    pub fn observe(&self, sample_us: u64) {
-        let mut inner = self.inner.lock().expect("reservoir lock");
-        if inner.buf.len() < self.capacity {
-            inner.buf.push(sample_us);
-        } else {
-            let i = inner.next;
-            inner.buf[i] = sample_us;
-        }
-        inner.next = (inner.next + 1) % self.capacity;
-        inner.total += 1;
-    }
-
-    /// `(total observations, stored window, sorted samples)`.
-    pub fn snapshot(&self) -> (u64, usize, Vec<u64>) {
-        let inner = self.inner.lock().expect("reservoir lock");
-        let mut samples = inner.buf.clone();
-        samples.sort_unstable();
-        (inner.total, inner.buf.len(), samples)
-    }
-
-    /// The configured capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-/// Percentile (0.0–1.0) of a sorted sample slice; 0 when empty.
-pub fn percentile(sorted: &[u64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)] as f64
 }
 
 /// Validates Prometheus text exposition format: every line is a

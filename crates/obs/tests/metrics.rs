@@ -1,11 +1,10 @@
 //! Metrics-registry behavior: the Prometheus exposition a registry
-//! renders must pass the crate's own format validator, histograms stay
-//! cumulative and monotone, and the latency reservoir holds its memory
-//! bound no matter how many samples arrive.
+//! renders must pass the crate's own format validator, and histograms
+//! stay cumulative and monotone.
 
 use std::time::Duration;
 
-use nascent_obs::metrics::{percentile, validate_prom, Registry, Reservoir, LATENCY_BUCKETS};
+use nascent_obs::metrics::{validate_prom, Registry, LATENCY_BUCKETS};
 
 #[test]
 fn rendered_exposition_passes_the_validator() {
@@ -87,34 +86,6 @@ fn name_reuse_across_types_panics() {
     let r = Registry::new();
     r.counter("mixed_total", "x", &[]);
     r.gauge("mixed_total", "x", &[]);
-}
-
-#[test]
-fn reservoir_stays_bounded_over_ten_thousand_samples() {
-    let res = Reservoir::new(256);
-    for i in 0..10_000u64 {
-        res.observe(i);
-    }
-    let (total, window, sorted) = res.snapshot();
-    assert_eq!(total, 10_000, "lifetime count is exact");
-    assert_eq!(window, 256, "window never exceeds capacity");
-    assert_eq!(sorted.len(), 256);
-    assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "snapshot is sorted"
-    );
-    // the ring keeps the newest samples: all survivors are recent
-    assert!(*sorted.first().unwrap() >= 10_000 - 256);
-    assert_eq!(res.capacity(), 256);
-}
-
-#[test]
-fn percentiles_read_the_sorted_window() {
-    let sorted: Vec<u64> = (1..=101).collect();
-    assert_eq!(percentile(&sorted, 0.5), 51.0);
-    assert_eq!(percentile(&sorted, 0.9), 91.0);
-    assert_eq!(percentile(&sorted, 1.0), 101.0);
-    assert_eq!(percentile(&[], 0.5), 0.0, "empty window reads zero");
 }
 
 #[test]

@@ -205,6 +205,7 @@ pub fn certify_program(
     // only the INX rewrite needs a copy of the reference
     let mut reference = Cow::Borrowed(naive);
     if opts.kind == CheckKind::Inx {
+        let _sp = nascent_obs::trace::span("inx-reference", "verify");
         for f in &mut reference.to_mut().functions {
             inx::rewrite_checks(f);
         }

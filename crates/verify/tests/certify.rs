@@ -597,6 +597,44 @@ end
     assert!(vra_opt_spans(&spans) <= naive.functions.len());
 }
 
+/// Under INX the certifier copies the reference and rewrites its checks
+/// inside one `inx-reference` span, a child of `certify`; under PRX it
+/// borrows the reference and opens none.
+#[test]
+fn certify_traces_the_inx_reference_copy_once() {
+    let naive = compile(
+        "program p
+ integer a(1:10)
+ integer i
+ do i = 1, 10
+  a(i) = i
+ enddo
+end
+",
+    )
+    .unwrap();
+    for (kind, expected) in [(CheckKind::Inx, 1), (CheckKind::Prx, 0)] {
+        let spans = traced_certify(
+            &naive,
+            &OptimizeOptions::scheme(Scheme::Lls).with_kind(kind),
+        );
+        let root = spans
+            .iter()
+            .find(|s| s.name == "certify" && s.cat == "verify")
+            .expect("a certify span");
+        let found: Vec<_> = spans.iter().filter(|s| s.name == "inx-reference").collect();
+        assert_eq!(found.len(), expected, "{kind:?}");
+        for s in found {
+            assert_eq!(s.cat, "verify");
+            assert_eq!(s.depth, root.depth + 1, "a child of `certify`");
+            assert!(
+                s.ts_ns >= root.ts_ns && s.ts_ns + s.dur_ns <= root.ts_ns + root.dur_ns,
+                "`inx-reference` lies inside `certify`"
+            );
+        }
+    }
+}
+
 /// An unconditional `TRAP` needs the optimized function's value-range
 /// facts (is it unreachable?), so a run with a folded-false hoist opens
 /// `vra-opt` exactly once, inside `direction-b`.
