@@ -1,15 +1,11 @@
 //! Lightweight reaching-definition helpers.
 //!
-//! Two cheap, conservative facilities used across the optimizer:
-//!
-//! * [`unique_defs`] — the table of variables with exactly one static
-//!   definition in a function. A unique definition that dominates a use
-//!   site is *the* reaching definition there; the check implication graph
-//!   uses this to discover global affine relations (`x = y + c`), and the
-//!   induction-expression rewriting uses it to express checks in terms of
-//!   defining expressions.
-//! * [`reaching_in_block`] — the textually last definition of a variable
-//!   before a statement index within one block.
+//! [`unique_defs`] is the table of variables with exactly one static
+//! definition in a function. A unique definition that dominates a use
+//! site is *the* reaching definition there; the check implication graph
+//! uses this to discover global affine relations (`x = y + c`), and the
+//! induction-expression rewriting uses it to express checks in terms of
+//! defining expressions.
 
 use std::collections::HashMap;
 
@@ -66,26 +62,6 @@ pub fn unique_defs(f: &Function) -> UniqueDefs {
     site
 }
 
-/// The last definition of `var` strictly before statement `before` in
-/// block `b`, if any.
-pub fn reaching_in_block(f: &Function, b: BlockId, before: usize, var: VarId) -> Option<DefSite> {
-    let stmts = &f.block(b).stmts;
-    for i in (0..before.min(stmts.len())).rev() {
-        if stmts[i].defined_var() == Some(var) {
-            let rhs = match &stmts[i] {
-                Stmt::Assign { value, .. } => Some(value.clone()),
-                _ => None,
-            };
-            return Some(DefSite {
-                block: b,
-                stmt: i,
-                rhs,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,17 +94,5 @@ mod tests {
         // not in the table at all
         assert!(defs.contains_key(&VarId(1)));
         assert!(!defs.contains_key(&VarId(0)));
-    }
-
-    #[test]
-    fn reaching_in_block_picks_last_def() {
-        let p = compile("program p\n integer x\n x = 1\n x = 2\n print x\nend\n").unwrap();
-        let f = p.main_function();
-        let b = f.entry;
-        let n = f.block(b).stmts.len();
-        let site = reaching_in_block(f, b, n, VarId(0)).unwrap();
-        assert_eq!(site.stmt, 1);
-        assert_eq!(site.rhs.as_ref().unwrap().as_int(), Some(2));
-        assert!(reaching_in_block(f, b, 0, VarId(0)).is_none());
     }
 }

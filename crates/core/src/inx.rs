@@ -27,8 +27,7 @@
 use std::collections::HashMap;
 
 use nascent_analysis::context::{Invalidation, PassContext};
-use nascent_analysis::reach::reaching_in_block;
-use nascent_ir::{CheckExpr, Function, LinForm, Stmt, VarId};
+use nascent_ir::{BlockId, CheckExpr, Function, LinForm, Stmt, VarId};
 
 /// Rewrites every check's range expression through defining expressions.
 /// Returns the number of substitutions applied.
@@ -57,7 +56,7 @@ pub fn rewrite_checks_ctx(f: &mut Function, ctx: &mut PassContext) -> usize {
     // a variable is "stable" if its value can never change after its
     // unique def: never textually defined and not a parameter being
     // reassigned (parameters without textual defs are stable too)
-    let stable_from = |v: VarId, site_block: nascent_ir::BlockId, site_stmt: usize| -> bool {
+    let stable_from = |v: VarId, site_block: BlockId, site_stmt: usize| -> bool {
         match def_count.get(&v) {
             None => true, // never defined: constant zero or parameter
             Some(1) => udefs.get(&v).is_some_and(|d| {
@@ -69,7 +68,19 @@ pub fn rewrite_checks_ctx(f: &mut Function, ctx: &mut PassContext) -> usize {
     };
 
     let mut applied = 0;
+    // `last_def[v]`: the block and index of the last definition of `v`
+    // seen so far on the forward walk; only an entry of the current block
+    // is a same-block reaching definition. Checks define nothing, so
+    // rewriting one leaves the table valid.
+    let mut last_def: Vec<Option<(BlockId, usize)>> = vec![None; f.vars.len()];
     for b in f.block_ids().collect::<Vec<_>>() {
+        let def_in_block = |last_def: &[Option<(BlockId, usize)>], v: VarId| {
+            last_def
+                .get(v.index())
+                .copied()
+                .flatten()
+                .and_then(|(db, i)| (db == b).then_some(i))
+        };
         for i in 0..f.block(b).stmts.len() {
             for _round in 0..8 {
                 let Stmt::Check(c) = &f.block(b).stmts[i] else {
@@ -79,18 +90,18 @@ pub fn rewrite_checks_ctx(f: &mut Function, ctx: &mut PassContext) -> usize {
                 let form = c.cond.form().clone();
                 for v in form.vars() {
                     // same-block reaching definition
-                    let subst: Option<LinForm> = if let Some(site) = reaching_in_block(f, b, i, v) {
-                        let rhs = site.rhs.as_ref().map(LinForm::from_expr);
-                        match rhs {
-                            Some(r)
-                                if r.vars()
-                                    .iter()
-                                    .all(|w| !redefined_between(f, b, site.stmt + 1, i, *w)) =>
-                            {
-                                Some(r)
-                            }
+                    let subst: Option<LinForm> = if let Some(d) = def_in_block(&last_def, v) {
+                        let rhs = match &f.block(b).stmts[d] {
+                            Stmt::Assign { value, .. } => Some(LinForm::from_expr(value)),
                             _ => None,
-                        }
+                        };
+                        // no variable of the rhs is redefined between the
+                        // definition and the check
+                        rhs.filter(|r| {
+                            r.vars()
+                                .iter()
+                                .all(|w| def_in_block(&last_def, *w).is_none_or(|e| e <= d))
+                        })
                     } else if let Some(site) = udefs.get(&v) {
                         // global unique def dominating the check
                         let dominates = site.block != b && dom.dominates(site.block, b);
@@ -125,24 +136,18 @@ pub fn rewrite_checks_ctx(f: &mut Function, ctx: &mut PassContext) -> usize {
                     break;
                 }
             }
+            if let Some(v) = f.block(b).stmts[i].defined_var() {
+                if v.index() >= last_def.len() {
+                    last_def.resize(v.index() + 1, None);
+                }
+                last_def[v.index()] = Some((b, i));
+            }
         }
     }
     if applied > 0 {
         ctx.invalidate(Invalidation::Statements);
     }
     applied
-}
-
-fn redefined_between(
-    f: &Function,
-    b: nascent_ir::BlockId,
-    from: usize,
-    to: usize,
-    v: VarId,
-) -> bool {
-    f.block(b).stmts[from..to]
-        .iter()
-        .any(|s| s.defined_var() == Some(v))
 }
 
 #[cfg(test)]
