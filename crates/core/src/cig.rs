@@ -21,11 +21,9 @@
 //!   [`crate::preheader`], which the paper's Table 3 experiment found to
 //!   be the only implications that matter.
 
-use std::collections::HashMap;
-
 use nascent_analysis::dom::Dominators;
-use nascent_analysis::reach::UniqueDefs;
-use nascent_ir::{Function, FxHashMap, LinForm, Stmt, VarId};
+use nascent_analysis::reach::{DefSite, UniqueDefs};
+use nascent_ir::{Atom, Expr, Function, FxHashMap, LinForm, Stmt, VarId};
 
 /// Index of a family within a [`Cig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -234,69 +232,66 @@ pub fn discover_affine_edges(
     cig: &mut Cig,
     families_in_use: &[(FamilyId, LinForm)],
 ) -> usize {
-    // blocks containing checks per variable
-    let mut check_blocks: HashMap<VarId, Vec<nascent_ir::BlockId>> = HashMap::new();
+    // the candidate relations, in `defs` order (which fixes the order in
+    // which target families are interned)
+    let candidates: Vec<(VarId, &DefSite, VarId, i64)> = defs
+        .iter()
+        .filter_map(|(x, site)| {
+            let (y, coeff, k) = LinForm::from_expr(site.rhs.as_ref()?).as_single_var()?;
+            (coeff == 1 && y != *x).then_some((*x, site, y, k))
+        })
+        .collect();
+    if candidates.is_empty() {
+        return 0;
+    }
+    // textual defs per var, to recognize never-defined vars, and per
+    // candidate `x` whether its def dominates every check mentioning `x`
+    // (`None` for a variable that is no candidate)
+    let mut def_count = vec![0u32; f.vars.len()];
+    let mut dominates_checks: Vec<Option<bool>> = vec![None; f.vars.len()];
+    for (x, ..) in &candidates {
+        dominates_checks[x.index()] = Some(true);
+    }
     for b in f.block_ids() {
         for s in &f.block(b).stmts {
             if let Stmt::Check(c) = s {
-                for v in c.vars() {
-                    check_blocks.entry(v).or_default().push(b);
+                for e in std::iter::once(&c.cond).chain(&c.guards) {
+                    for_each_var(e.form(), &mut |v| {
+                        if let Some(ok @ true) = &mut dominates_checks[v.index()] {
+                            *ok = dom.dominates(defs[&v].block, b);
+                        }
+                    });
                 }
-            }
-        }
-    }
-    // count textual defs per var to recognize never-defined vars
-    let mut def_count: HashMap<VarId, usize> = HashMap::new();
-    for b in f.block_ids() {
-        for s in &f.block(b).stmts {
-            if let Some(v) = s.defined_var() {
-                *def_count.entry(v).or_insert(0) += 1;
+            } else if let Some(v) = s.defined_var() {
+                def_count[v.index()] += 1;
             }
         }
     }
 
     let mut added = 0;
-    for (x, site) in defs {
-        let Some(rhs) = &site.rhs else { continue };
-        let form = LinForm::from_expr(rhs);
-        let Some((y, coeff, k)) = form.as_single_var() else {
-            continue;
-        };
-        if coeff != 1 || y == *x {
-            continue;
-        }
+    for (x, site, y, k) in candidates {
         // y stable: never defined, or uniquely defined dominating x's def
-        let y_ok = match def_count.get(&y) {
-            None => true,
-            Some(1) => {
-                defs.get(&y)
-                    .is_some_and(|ys| dom.dominates(ys.block, site.block) && ys.block != site.block)
-                    || defs
-                        .get(&y)
-                        .is_some_and(|ys| ys.block == site.block && ys.stmt < site.stmt)
-            }
+        let y_ok = match def_count[y.index()] {
+            0 => true,
+            1 => defs.get(&y).is_some_and(|ys| {
+                dom.dominates(ys.block, site.block) && ys.block != site.block
+                    || ys.block == site.block && ys.stmt < site.stmt
+            }),
             _ => false,
         };
-        if !y_ok {
-            continue;
-        }
         // x's def must dominate every check mentioning x
-        let ok = check_blocks
-            .get(x)
-            .map(|blocks| blocks.iter().all(|b| dom.dominates(site.block, *b)))
-            .unwrap_or(true);
-        if !ok {
+        if !y_ok || dominates_checks[x.index()] == Some(false) {
             continue;
         }
         // map every family containing x linearly onto its substituted
         // family: form_x = a·x + rest  ≡  a·y + rest + a·k
         for (fid, fam_form) in families_in_use {
-            let a = fam_form.coeff_of_var(*x);
+            let a = fam_form.coeff_of_var(x);
             if a == 0 {
                 continue;
             }
             let repl = LinForm::var(y).add(&LinForm::constant(k));
-            let Some(subst) = fam_form.substitute_var(*x, &repl) else {
+            let Some(subst) = fam_form.substitute_var(x, &repl) else {
                 continue;
             };
             let shift = subst.constant_part(); // = a·k
@@ -312,6 +307,30 @@ pub fn discover_affine_edges(
         }
     }
     added
+}
+
+/// Calls `visit` on every variable `form` reads, through opaque atoms
+/// too, without collecting them.
+fn for_each_var(form: &LinForm, visit: &mut impl FnMut(VarId)) {
+    fn walk(e: &Expr, visit: &mut impl FnMut(VarId)) {
+        match e {
+            Expr::Var(v) => visit(*v),
+            Expr::Unary(_, e) => walk(e, visit),
+            Expr::Binary(_, l, r) => {
+                walk(l, visit);
+                walk(r, visit);
+            }
+            Expr::IntConst(_) | Expr::RealConst(_) => {}
+        }
+    }
+    for (t, _) in form.terms() {
+        for atom in t.atoms() {
+            match atom {
+                Atom::Var(v) => visit(*v),
+                Atom::Opaque(e) => walk(e, visit),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
