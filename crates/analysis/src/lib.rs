@@ -8,8 +8,7 @@
 //! * [`dataflow`] — a generic worklist solver for forward/backward
 //!   problems, instantiated by the optimizer's availability and
 //!   anticipatability systems,
-//! * [`reach`] — lightweight reaching-definition helpers (unique static
-//!   definitions, straight-line reaching definitions) used by induction
+//! * [`reach`] — unique static definitions, used by induction
 //!   expression construction and the check implication graph,
 //! * [`ssa`] — SSA overlay construction (Cytron et al. phi placement plus
 //!   renaming) kept as a side structure over the unchanged IR,
@@ -20,7 +19,10 @@
 //!   bounds + per-array range summaries) backing the static-discharge
 //!   tier. It is the only value-range analysis: the certifier in
 //!   `nascent-verify` runs it too, and checks each result as an inductive
-//!   invariant before using it.
+//!   invariant before using it,
+//! * [`wto`] — Bourdoncle's weak topological order of a CFG, the order in
+//!   which the value-range fixpoint visits blocks and the heads at which
+//!   it widens.
 
 pub mod context;
 pub mod dataflow;
@@ -30,6 +32,7 @@ pub mod loops;
 pub mod reach;
 pub mod ssa;
 pub mod vra;
+pub mod wto;
 
 pub use context::{
     cfg_fingerprint, AnalysisStat, InductionClasses, Invalidation, PassContext, PassStat, Timings,

@@ -8,7 +8,7 @@
 
 use nascent_interp::{run, Limits};
 use nascent_rangecheck::{optimize_program, Discharge, OptimizeOptions, Scheme};
-use nascent_suite::{discharge_friendly, discharge_hostile, suite, Scale};
+use nascent_suite::{discharge_friendly, discharge_hostile, loops_then_overrun, suite, Scale};
 
 fn compile(src: &str) -> nascent_ir::Program {
     nascent_frontend::compile(src).expect("test program compiles")
@@ -101,37 +101,31 @@ fn friendly_generator_discharges_every_check() {
     }
 }
 
-/// `loops` in-bounds loops over `a(1:40)`, then one whose store
-/// `a(i + n - 1)` runs one element past the end.
-fn loops_then_overrun(loops: usize) -> String {
-    let mut src =
-        String::from("program capped\n integer a(1:40)\n integer i, m, n\n m = 40\n n = 2\n");
-    for _ in 0..loops {
-        src.push_str(" do i = 1, m\n  a(i) = i\n enddo\n");
-    }
-    src.push_str(" do i = 1, m\n  a(i + n - 1) = i\n enddo\nend\n");
-    src
-}
-
-/// From about 30 sequential loops the value-range fixpoint runs out of
-/// iterations. The blocks it has not reached by then are unexplored, not
-/// unreachable: the tier must keep their checks, including the one that
-/// catches the overrun in the last loop.
+/// However many loops come before it, the value-range fixpoint settles
+/// each loop in turn: the tier deletes every in-bounds check, keeps the
+/// one that catches the overrun in the last loop, and the optimized run
+/// traps no later than the naive one.
 #[test]
-fn iteration_cap_keeps_checks_the_fixpoint_never_reached() {
-    let naive = compile(&loops_then_overrun(32));
-    let expected = run(&naive, &Limits::default())
-        .expect("naive run")
-        .trap
-        .expect("the naive program traps");
-    let mut opt = naive.clone();
-    optimize_program(
-        &mut opt,
-        &OptimizeOptions::scheme(Scheme::Ni).with_discharge(Discharge::On),
-    );
-    let got = run(&opt, &Limits::default())
-        .expect("the optimized run detects the overrun")
-        .trap
-        .expect("the optimized program traps");
-    assert!(got.at_progress <= expected.at_progress);
+fn every_in_bounds_check_is_discharged_before_an_overrun() {
+    for loops in [28, 29, 32, 64, 128, 256] {
+        let naive = compile(&loops_then_overrun(loops));
+        let expected = run(&naive, &Limits::default())
+            .expect("naive run")
+            .trap
+            .expect("the naive program traps");
+        let mut opt = naive.clone();
+        let stats = optimize_program(
+            &mut opt,
+            &OptimizeOptions::scheme(Scheme::Ni).with_discharge(Discharge::On),
+        );
+        assert_eq!(stats.discharged, stats.static_before - 1, "{loops} loops");
+        let kept = nascent_ir::pretty::checks_to_strings(opt.main_function());
+        assert_eq!(kept.len(), 1, "{loops} loops: {kept:?}");
+        assert_eq!(kept[0].1, expected.check, "{loops} loops");
+        let got = run(&opt, &Limits::default())
+            .expect("the optimized run detects the overrun")
+            .trap
+            .expect("the optimized program traps");
+        assert!(got.at_progress <= expected.at_progress, "{loops} loops");
+    }
 }

@@ -75,6 +75,20 @@ pub fn scaling_program(k: usize) -> String {
     src
 }
 
+/// `loops` sequential in-bounds loops over `a(1:40)`, then one whose store
+/// `a(i + n - 1)` runs one element past the end: every check but the last
+/// loop's upper one always holds, and the naive run traps on that one.
+/// The loop bound and the offset are held in variables.
+pub fn loops_then_overrun(loops: usize) -> String {
+    let mut src =
+        String::from("program overrun\n integer a(1:40)\n integer i, m, n\n m = 40\n n = 2\n");
+    for _ in 0..loops {
+        src.push_str(" do i = 1, m\n  a(i) = i\n enddo\n");
+    }
+    src.push_str(" do i = 1, m\n  a(i + n - 1) = i\n enddo\nend\n");
+    src
+}
+
 /// Generates a **discharge-friendly** program: every subscript is a
 /// constant, a counted loop variable whose range the declared bounds
 /// cover, or one step of indirection through a locally initialized map

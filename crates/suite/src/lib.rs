@@ -33,7 +33,8 @@ pub mod generator;
 pub mod programs;
 
 pub use generator::{
-    discharge_friendly, discharge_hostile, random_program, scaling_program, GenConfig,
+    discharge_friendly, discharge_hostile, loops_then_overrun, random_program, scaling_program,
+    GenConfig,
 };
 
 /// One benchmark program.

@@ -12,7 +12,7 @@ use nascent_rangecheck::{
     inx, optimize_program_logged, CheckKind, Discharge, DischargeReason, Event, ImplicationMode,
     OptimizeOptions, Scheme,
 };
-use nascent_suite::{random_program, scaling_program, test_suite, GenConfig};
+use nascent_suite::{loops_then_overrun, random_program, scaling_program, test_suite, GenConfig};
 use nascent_verify::invariant::{self, Proved};
 use nascent_verify::{certify_program, Diagnostic};
 
@@ -655,24 +655,41 @@ end
     assert_eq!(vra_opt_spans(&spans), 1);
 }
 
-/// `loops` in-bounds loops over `a(1:40)`, then one whose store
-/// `a(i + n - 1)` runs one element past the end.
-fn loops_then_overrun(loops: usize) -> String {
-    let mut src =
-        String::from("program capped\n integer a(1:40)\n integer i, m, n\n m = 40\n n = 2\n");
-    for _ in 0..loops {
-        src.push_str(" do i = 1, m\n  a(i) = i\n enddo\n");
+/// The declarations and initialization of `x1` to `x{len}`, and a loop
+/// copying `x1 = x2, …, x{len} = i` each iteration for `i` from 1 to `m`.
+/// Each iteration widens one more variable of the chain at the loop head,
+/// so the value-range fixpoint makes about `3 × len` block visits per
+/// phase before it settles the loop. The callers' chains are long enough
+/// to run it into its iteration cap, after which every state is top.
+fn copy_chain(len: usize) -> (String, String) {
+    let xs: Vec<String> = (1..=len).map(|k| format!("x{k}")).collect();
+    let mut init = format!(" integer {}\n", xs.join(", "));
+    let mut chain = String::from(" do i = 1, m\n");
+    for x in &xs {
+        init.push_str(&format!(" {x} = 0\n"));
     }
-    src.push_str(" do i = 1, m\n  a(i + n - 1) = i\n enddo\nend\n");
-    src
+    for w in xs.windows(2) {
+        chain.push_str(&format!("  {} = {}\n", w[0], w[1]));
+    }
+    chain.push_str(&format!("  x{len} = i\n enddo\n"));
+    (init, chain)
+}
+
+/// [`copy_chain`], then the overrunning loop of [`loops_then_overrun`],
+/// which the capped fixpoint never reaches.
+fn copy_chain_then_overrun() -> String {
+    let (init, chain) = copy_chain(150);
+    format!(
+        "program capped\n integer a(1:40)\n integer i, m, n\n{init} m = 40\n n = 2\n{chain} \
+         do i = 1, m\n  a(i + n - 1) = i\n enddo\nend\n"
+    )
 }
 
 /// A forged `Discharged` event for the check that catches the overrun
-/// must be rejected even where the trusted value-range fixpoint runs out
-/// of iterations (from about 30 sequential loops): the blocks it never
-/// reached are unexplored, not unreachable, so nothing proves the check.
+/// must be rejected: the checked value ranges prove every check of the
+/// 32 loops before it, but not one that fails on the last iteration.
 #[test]
-fn rejects_forged_discharge_past_the_iteration_cap() {
+fn rejects_forged_discharge_of_the_overrun_check() {
     let opts = OptimizeOptions::scheme(Scheme::Ni).with_discharge(Discharge::On);
     let naive = compile(&loops_then_overrun(32)).unwrap();
     let trap = nascent_interp::run(&naive, &nascent_interp::Limits::default())
@@ -728,12 +745,25 @@ fn rejects_forged_discharge_past_the_iteration_cap() {
 /// `0 <= 1`; SE then places one unconditional copy at the entry,
 /// elimination deletes the preheader copies citing it, and fold deletes
 /// the entry copy, so no witness is left in the final code. A hoisted
-/// condition that can never fail needs no preheader check. (With 32 loops
-/// the value-range fixpoint runs out of iterations, so it cannot cover the
-/// in-loop checks instead.)
+/// condition that can never fail needs no preheader check. (A
+/// [`copy_chain`] after the loops runs the value-range fixpoint into its
+/// iteration cap, so it cannot cover the in-loop checks instead: no loop
+/// bound keeps it from proving them, since the trip-count fact from the
+/// constant initial value does.)
 #[test]
 fn accepts_constant_true_hoisted_conditions() {
-    let src = scaling_program(32);
+    // the shape of a small `scaling_program`, then the chain
+    let (init, chain) = copy_chain(200);
+    let mut src = format!("program hoisted\n integer a(40)\n integer i, m\n{init} m = 20\n");
+    for li in 0..2 {
+        src.push_str(" do i = 1, m\n");
+        for ai in 1..=4 {
+            src.push_str(&format!("  a(i + {ai}) = i + {li}\n"));
+        }
+        src.push_str(" enddo\n");
+    }
+    src.push_str(&chain);
+    src.push_str(" print a(1)\nend\n");
     for kind in [CheckKind::Prx, CheckKind::Inx] {
         let cert = certify_source(&src, &OptimizeOptions::scheme(Scheme::All).with_kind(kind));
         assert!(
@@ -749,18 +779,18 @@ fn accepts_constant_true_hoisted_conditions() {
 }
 
 /// The counts of the scaling programs' certificates under NI and LLS
-/// with INX checks. At k = 8 the value-range fixpoint converges and
-/// proves every reference check; at k = 32 it runs into the iteration
-/// cap. A change to the value-range states or the check universe that
-/// flips a verdict changes these counts.
+/// with INX checks. At k = 8 and k = 32 the value-range fixpoint
+/// converges and proves all 2k² + 2 reference checks. A change to the
+/// value-range states or the check universe that flips a verdict changes
+/// these counts.
 #[test]
 fn scaling_certificates_keep_their_counts() {
     // (k, scheme, obligations, vra_discharged, discharged_by_log)
     let expected = [
         (8, Scheme::Ni, 202, 130, 57),
         (8, Scheme::Lls, 138, 130, 137),
-        (32, Scheme::Ni, 3106, 994, 993),
-        (32, Scheme::Lls, 2082, 994, 2081),
+        (32, Scheme::Ni, 3106, 2050, 993),
+        (32, Scheme::Lls, 2082, 2050, 2081),
     ];
     for (k, scheme, obligations, vra_discharged, by_log) in expected {
         let opts = OptimizeOptions::scheme(scheme).with_kind(CheckKind::Inx);
@@ -787,20 +817,24 @@ fn int_attr(s: &SpanRecord, key: &str) -> i64 {
 }
 
 /// The value-range spans report the fixpoint's block visits and whether
-/// it ran into the iteration cap: on the scaling program the fixpoint
-/// converges at k = 8 and is capped at k = 32. The certifier's `vra-ref`
-/// span and the analysis `vra` span agree, and `vra-opt` carries the
-/// same attributes.
+/// it ran into the iteration cap: the fixpoint converges on the scaling
+/// programs at k = 8 and k = 32, and is capped on a long copy chain. The
+/// certifier's `vra-ref` span and the analysis `vra` span agree, and
+/// `vra-opt` carries the same attributes.
 #[test]
 fn vra_spans_report_visits_and_the_iteration_cap() {
     let opts = OptimizeOptions::scheme(Scheme::Ni).with_kind(CheckKind::Inx);
-    for (k, capped) in [(8, 0), (32, 1)] {
-        let naive = compile(&scaling_program(k)).unwrap();
+    for (name, src, capped) in [
+        ("k=8", scaling_program(8), 0),
+        ("k=32", scaling_program(32), 0),
+        ("copy chain", copy_chain_then_overrun(), 1),
+    ] {
+        let naive = compile(&src).unwrap();
         let spans = traced_certify(&naive, &opts);
         let vra_ref = spans.iter().find(|s| s.name == "vra-ref").unwrap();
-        assert_eq!(int_attr(vra_ref, "capped"), capped, "k={k}");
+        assert_eq!(int_attr(vra_ref, "capped"), capped, "{name}");
         let visits = int_attr(vra_ref, "visits");
-        assert!(visits > 0, "k={k}");
+        assert!(visits > 0, "{name}");
 
         let mut reference = naive.functions[0].clone();
         inx::rewrite_checks(&mut reference);
@@ -811,8 +845,8 @@ fn vra_spans_report_visits_and_the_iteration_cap() {
             .iter()
             .find(|s| s.name == "vra" && s.cat == "analysis")
             .unwrap();
-        assert_eq!(int_attr(vra, "capped"), capped, "k={k}");
-        assert_eq!(int_attr(vra, "visits"), visits, "k={k}");
+        assert_eq!(int_attr(vra, "capped"), capped, "{name}");
+        assert_eq!(int_attr(vra, "visits"), visits, "{name}");
     }
 
     let trapping = compile(
@@ -825,15 +859,19 @@ fn vra_spans_report_visits_and_the_iteration_cap() {
     assert!(int_attr(vra_opt, "visits") > 0);
 }
 
-/// Runs the value-range analysis on `f` and checks its result.
+/// Runs the value-range analysis on `f`, asserts that it converged
+/// without the iteration cap, and checks its result.
 fn check_vra(f: &Function) -> Result<Proved, Diagnostic> {
     let forest = PassContext::new().loop_forest(f);
-    invariant::check(f, &analyze_with_forest(f, &forest), &trip_facts(&forest))
+    let vra = analyze_with_forest(f, &forest);
+    assert!(!vra.capped, "the analysis of `{}` is capped", f.name);
+    invariant::check(f, &vra, &trip_facts(&forest))
 }
 
-/// Asserts that the checker accepts the analysis result on every
-/// reference and optimized function of `naive` under `opts` (the
-/// reference with the shared INX rewrite, as the certifier sees it).
+/// Asserts that the analysis converges and the checker accepts its
+/// result on every reference and optimized function of `naive` under
+/// `opts` (the reference with the shared INX rewrite, as the certifier
+/// sees it).
 fn assert_checker_accepts(name: &str, naive: &Program, opts: &OptimizeOptions) {
     let mut opt = naive.clone();
     optimize_program_logged(&mut opt, opts);
@@ -853,9 +891,9 @@ fn assert_checker_accepts(name: &str, naive: &Program, opts: &OptimizeOptions) {
     }
 }
 
-/// The checker accepts every value-range result the analysis produces:
-/// on the suite under every scheme × kind × implication mode × discharge
-/// tier, and on generated programs.
+/// The checker accepts every value-range result the analysis produces,
+/// none of them capped: on the suite under every scheme × kind ×
+/// implication mode × discharge tier, and on generated programs.
 #[test]
 fn checker_accepts_every_analysis_result() {
     for bench in &test_suite() {
@@ -975,13 +1013,14 @@ fn checker_rejects_perturbed_invariants_by_name() {
 
 /// Before the iteration-cap backstop was fixed, a capped fixpoint set the
 /// blocks it had reached to top and left the rest `unreachable`, which
-/// proves every check in them; on [`loops_then_overrun`] from about 30
-/// loops that included the overrunning last loop. The checker rejects
-/// those states at the edge into the first such block, and accepts what
-/// the analysis returns today (every state top: the cap was hit).
+/// proves every check in them; on [`copy_chain_then_overrun`] that
+/// includes the overrunning last loop, which the fixpoint never reaches.
+/// The checker rejects those states at the edge into the first such
+/// block, and accepts what the analysis returns today (every state top:
+/// the cap was hit).
 #[test]
 fn checker_rejects_the_old_visited_only_backstop() {
-    let f = compile(&loops_then_overrun(32))
+    let f = compile(&copy_chain_then_overrun())
         .unwrap()
         .main_function()
         .clone();

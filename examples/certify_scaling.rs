@@ -2,17 +2,19 @@
 //! sequential loops with `k` array stores each (`2k²` naive checks), the
 //! shape of the benchmark's `scaling-certify` workload, under NI and LLS
 //! with INX checks. Prints the median of three runs per row, and from one
-//! more, traced, certification the `visits` and `capped` attributes of
-//! its `vra-ref` span: the value-range fixpoint's block visits on the
-//! reference function, and whether it ran into the iteration cap (which
-//! sets every state to top, so the visits bought nothing).
+//! more, traced, certification the duration of its `vra-ref` span and
+//! the span's `visits` and `capped` attributes: the value-range
+//! fixpoint's block visits on the reference function, and whether it ran
+//! into the iteration cap (which sets every state to top, so the visits
+//! bought nothing).
 //!
 //! Exits non-zero when, at any k ≥ 64, the median LLS optimize time
 //! exceeds 4× the median NI optimize time: the preheader hoist pass must
 //! stay linear in the loop count. Exits non-zero too when, for either
 //! scheme, the median certify µs per obligation at the largest k exceeds
 //! 2× its value at the smallest k ≥ 32: certification must stay linear
-//! in the program.
+//! in the program. Exits non-zero too when `vra-ref` is capped at any k:
+//! the fixpoint must settle each loop before the next.
 //!
 //! Run with `cargo run --release --example certify_scaling [-- K...]`
 //! (default k = 32 64 96 128).
@@ -42,9 +44,9 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// The `visits` and `capped` attributes of the `vra-ref` span of one
-/// traced, untimed optimization and certification.
-fn vra_ref_attrs(naive: &Program, opts: &OptimizeOptions) -> (i64, bool) {
+/// The duration in ms and the `visits` and `capped` attributes of the
+/// `vra-ref` span of one traced, untimed optimization and certification.
+fn vra_ref_span(naive: &Program, opts: &OptimizeOptions) -> (f64, i64, bool) {
     let mut prog = naive.clone();
     let (_, logs) = optimize_program_logged(&mut prog, opts);
     let collector = ScopedCollector::begin();
@@ -58,7 +60,11 @@ fn vra_ref_attrs(naive: &Program, opts: &OptimizeOptions) -> (i64, bool) {
         Some((_, AttrValue::Int(v))) => *v,
         _ => panic!("vra-ref has no `{key}` attribute"),
     };
-    (attr("visits"), attr("capped") == 1)
+    (
+        span.dur_ns as f64 / 1e6,
+        attr("visits"),
+        attr("capped") == 1,
+    )
 }
 
 fn main() {
@@ -72,17 +78,19 @@ fn main() {
         ks
     };
     println!(
-        "{:>4} {:>6} {:>12} {:>11} {:>11} {:>9} {:>10} {:>6}",
+        "{:>4} {:>6} {:>12} {:>11} {:>11} {:>9} {:>7} {:>10} {:>6}",
         "k",
         "scheme",
         "optimize ms",
         "certify ms",
         "obligations",
         "us/oblig",
+        "vra ms",
         "vra visits",
         "capped"
     );
     let mut too_slow = Vec::new();
+    let mut capped_at = Vec::new();
     // (k, [NI, LLS] median certify µs per obligation) for k ≥ LINEAR_FROM_K
     let mut us_per_obligation: Vec<(usize, [f64; 2])> = Vec::new();
     for k in ks {
@@ -106,15 +114,18 @@ fn main() {
             let certify = median(certify);
             optimize_ms[i] = median(optimize);
             us[i] = certify * 1e3 / obligations as f64;
-            let (visits, capped) = vra_ref_attrs(&naive, &opts);
+            let (vra_ms, visits, capped) = vra_ref_span(&naive, &opts);
             println!(
-                "{k:>4} {:>6} {:>12.1} {:>11.1} {obligations:>11} {:>9.2} {visits:>10} {:>6}",
+                "{k:>4} {:>6} {:>12.1} {:>11.1} {obligations:>11} {:>9.2} {vra_ms:>7.1} {visits:>10} {:>6}",
                 scheme.name(),
                 optimize_ms[i],
                 certify,
                 us[i],
                 if capped { "yes" } else { "no" }
             );
+            if capped {
+                capped_at.push(format!("k={k} {}", scheme.name()));
+            }
         }
         let [ni, lls] = optimize_ms;
         if k >= GATE_FROM_K && lls > MAX_LLS_OVER_NI * ni {
@@ -141,6 +152,14 @@ fn main() {
     }
     if !too_slow.is_empty() {
         eprintln!("superlinear growth: {}", too_slow.join("; "));
+    }
+    if !capped_at.is_empty() {
+        eprintln!(
+            "vra-ref ran into its iteration cap: {}",
+            capped_at.join(", ")
+        );
+    }
+    if !too_slow.is_empty() || !capped_at.is_empty() {
         std::process::exit(1);
     }
 }
