@@ -430,6 +430,8 @@ fn main() -> ExitCode {
         "nascentd_checks_eliminated_total{scheme=",
         "nascentd_checks_eliminated_total{scheme=\"LLS\"}",
         "nascentd_native_cache{stat=\"hit_rate\"}",
+        "nascentd_cache{stat=\"evictions\"}",
+        "nascentd_native_cache{stat=\"evictions\"}",
         "nascentd_engine_duration_seconds_bucket{engine=\"native\"",
     ] {
         assert!(
@@ -447,6 +449,8 @@ fn main() -> ExitCode {
     let rejected = at("nascentd_responses_total{code=\"503\"}");
     let hit_rate = at("nascentd_cache{stat=\"hit_rate\"}");
     let native_hit_rate = at("nascentd_native_cache{stat=\"hit_rate\"}");
+    let evictions = at("nascentd_cache{stat=\"evictions\"}");
+    let native_evictions = at("nascentd_native_cache{stat=\"evictions\"}");
     if !native_jobs.is_empty() {
         assert!(
             at("nascentd_native_cache{stat=\"compiles\"}") > 0.0,
@@ -463,7 +467,8 @@ fn main() -> ExitCode {
     let non_200 = non_200.load(Ordering::Relaxed);
     eprintln!(
         "bench_service: non_200={non_200} divergences={divergences} rejected={rejected} \
-         cache_hit_rate={hit_rate:.4} native_cache_hit_rate={native_hit_rate:.4}"
+         cache_hit_rate={hit_rate:.4} native_cache_hit_rate={native_hit_rate:.4} \
+         cache_evictions={evictions} native_cache_evictions={native_evictions}"
     );
 
     if let Some(server) = in_process {

@@ -12,6 +12,12 @@
 //! limits travel per *exec* (environment variables), not per binary, so
 //! one cached binary serves every limit setting.
 //!
+//! The cache holds at most [`CAPACITY`] binaries and evicts the oldest
+//! first. A cached binary is an `Arc` handle whose drop deletes the
+//! binary and its C source, so an evicted binary leaves the disk when
+//! the last run holding it finishes, and a run that fetched it just
+//! before its eviction still execs it.
+//!
 //! [`global()`] is the process-wide instance every
 //! `Engine::Native` run goes through; [`stats()`](NativeRunner::stats)
 //! feeds the service's `/metrics` gauges and the `native_differential`
@@ -19,16 +25,36 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use nascent_ir::Program;
 use nascent_obs::memo::{content_hash, Memo, MemoStats, Role};
 
 use crate::runner::{self, CRunError, CRunResult};
 
-/// A finished compile: the binary path, or (compiler, stderr) of the
+/// Binaries a runner keeps before it deletes its oldest: above the 130
+/// distinct programs the 420-cell matrix compiles, so a second round
+/// over the matrix compiles nothing.
+pub const CAPACITY: usize = 256;
+
+/// A compiled binary and its C source on disk, both deleted when the
+/// last handle drops.
+#[derive(Debug)]
+struct Binary {
+    exe: PathBuf,
+    source: PathBuf,
+}
+
+impl Drop for Binary {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.exe);
+        let _ = std::fs::remove_file(&self.source);
+    }
+}
+
+/// A finished compile: the binary, or (compiler, stderr) of the
 /// failure — clonable so every waiter sees the owner's verdict.
-type Compiled = Result<PathBuf, (String, String)>;
+type Compiled = Result<Arc<Binary>, (String, String)>;
 
 /// Compile-cache traffic counters: the memo's counters, with its
 /// misses named for what a miss does here.
@@ -41,7 +67,10 @@ pub struct NativeCacheStats {
     /// Runs that arrived while an identical compile was in flight and
     /// waited for its binary instead of recompiling.
     pub coalesced: u64,
-    /// Distinct programs compiled (in-flight included).
+    /// Binaries evicted to stay within [`CAPACITY`], each deleted from
+    /// disk once no run holds it.
+    pub evictions: u64,
+    /// Compiles held, failed and in-flight ones included.
     pub entries: usize,
 }
 
@@ -52,6 +81,7 @@ impl NativeCacheStats {
             hits: self.hits,
             misses: self.compiles,
             coalesced: self.coalesced,
+            evictions: self.evictions,
             entries: self.entries,
         }
         .hit_rate()
@@ -64,6 +94,7 @@ impl NativeCacheStats {
             hits: self.hits - earlier.hits,
             compiles: self.compiles - earlier.compiles,
             coalesced: self.coalesced - earlier.coalesced,
+            evictions: self.evictions - earlier.evictions,
             entries: self.entries,
         }
     }
@@ -73,6 +104,10 @@ impl NativeCacheStats {
 pub struct NativeRunner {
     dir: PathBuf,
     binaries: Memo<((u64, u64), usize), Compiled>,
+    /// Compiles started, numbering their files: a program evicted and
+    /// compiled again gets new files, which the old handle's drop
+    /// leaves alone.
+    files: AtomicU64,
     cleanup: bool,
 }
 
@@ -83,7 +118,7 @@ static INSTANCE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// the process shares one cache, so each distinct optimized program
 /// compiles exactly once per fleet.
 pub fn global() -> &'static NativeRunner {
-    GLOBAL.get_or_init(|| NativeRunner::with_cleanup(false))
+    GLOBAL.get_or_init(|| NativeRunner::with_capacity(false, CAPACITY))
 }
 
 /// Compile-cache counters of the [`global`] runner (service metrics,
@@ -101,10 +136,10 @@ impl Default for NativeRunner {
 impl NativeRunner {
     /// A fresh runner with its own scratch directory, removed on drop.
     pub fn new() -> NativeRunner {
-        NativeRunner::with_cleanup(true)
+        NativeRunner::with_capacity(true, CAPACITY)
     }
 
-    fn with_cleanup(cleanup: bool) -> NativeRunner {
+    fn with_capacity(cleanup: bool, capacity: usize) -> NativeRunner {
         let seq = INSTANCE_SEQ.fetch_add(1, Ordering::Relaxed);
         NativeRunner {
             dir: std::env::temp_dir().join(format!(
@@ -112,7 +147,8 @@ impl NativeRunner {
                 std::process::id(),
                 seq
             )),
-            binaries: Memo::new(),
+            binaries: Memo::new(capacity),
+            files: AtomicU64::new(0),
             cleanup,
         }
     }
@@ -161,7 +197,7 @@ impl NativeRunner {
             ("NASCENT_CBACK_REPEAT", repeat.to_string()),
         ];
         let mut sp = nascent_obs::trace::span("exec", "native");
-        let r = runner::exec_binary(&bin, &envs, runner::run_timeout());
+        let r = runner::exec_binary(&bin.exe, &envs, runner::run_timeout());
         if let Ok(res) = &r {
             sp.attr("exec_ns", res.exec_ns.unwrap_or(0));
         }
@@ -169,8 +205,9 @@ impl NativeRunner {
     }
 
     /// The compiled binary for `c_source`: the first caller compiles,
-    /// concurrent callers wait, later callers are instant hits.
-    fn compiled(&self, c_source: &str) -> Result<PathBuf, CRunError> {
+    /// concurrent callers wait, later callers are instant hits. The
+    /// handle keeps the binary on disk, evicted or not.
+    fn compiled(&self, c_source: &str) -> Result<Arc<Binary>, CRunError> {
         let hash = content_hash(c_source.as_bytes());
         let mut sp = nascent_obs::trace::span("compile", "native");
         let (compiled, role) = self
@@ -184,9 +221,15 @@ impl NativeRunner {
         if let Err(e) = std::fs::create_dir_all(&self.dir) {
             return Err(("mkdir".to_string(), e.to_string()));
         }
-        let name = format!("p{h1:016x}{h2:016x}");
+        let n = self.files.fetch_add(1, Ordering::Relaxed);
+        let name = format!("p{h1:016x}{h2:016x}-{n}");
+        // owned before the compile, so a failed one leaves no file behind
+        let binary = Binary {
+            exe: self.dir.join(&name),
+            source: self.dir.join(format!("{name}.c")),
+        };
         match runner::compile_c(c_source, &self.dir, &name) {
-            Ok(bin) => Ok(bin),
+            Ok(_) => Ok(Arc::new(binary)),
             Err(CRunError::CompileFailed { compiler, stderr }) => Err((compiler, stderr)),
             Err(other) => Err((runner::cc_command(), other.to_string())),
         }
@@ -199,6 +242,7 @@ impl NativeRunner {
             hits: memo.hits,
             compiles: memo.misses,
             coalesced: memo.coalesced,
+            evictions: memo.evictions,
             entries: memo.entries,
         }
     }
@@ -209,5 +253,71 @@ impl Drop for NativeRunner {
         if self.cleanup {
             let _ = std::fs::remove_dir_all(&self.dir);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nascent_ir::{Expr, FunctionBuilder, Stmt, Terminator};
+
+    /// A program that prints `n`.
+    fn prints(n: i64) -> Program {
+        let mut b = FunctionBuilder::new("main");
+        let entry = b.entry();
+        b.push(entry, Stmt::Emit(Expr::int(n)));
+        b.terminate(entry, Terminator::Return);
+        Program::single(b.finish())
+    }
+
+    /// Binaries (files without an extension) and C sources in `dir`.
+    fn files_in(dir: &std::path::Path) -> (usize, usize) {
+        let names: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("runner directory exists")
+            .map(|e| e.expect("directory entry").path())
+            .collect();
+        let sources = names.iter().filter(|p| p.extension().is_some()).count();
+        (names.len() - sources, sources)
+    }
+
+    #[test]
+    fn the_directory_holds_at_most_capacity_binaries_and_a_held_one_outlives_eviction() {
+        if !crate::cc_available() {
+            eprintln!("skipping: no C compiler for the native tier ($CC / cc)");
+            return;
+        }
+        const CAP: usize = 2;
+        let runner = NativeRunner::with_capacity(true, CAP);
+        for n in 0..3 * CAP as i64 {
+            let r = runner.run(&prints(n), 1_000, 16).expect("native run");
+            assert_eq!(r.output, [('i', n as u64)]);
+            let (binaries, sources) = files_in(&runner.dir);
+            assert!(binaries <= CAP && sources <= CAP, "{binaries} binaries");
+        }
+        assert_eq!(runner.stats().evictions, 2 * CAP as u64);
+
+        // a handle fetched before its eviction still runs its binary
+        let held = runner
+            .compiled(&crate::emit_c(&prints(100)))
+            .expect("compiles");
+        for n in 200..200 + CAP as i64 {
+            runner.run(&prints(n), 1_000, 16).expect("native run");
+        }
+        assert_eq!(runner.stats().evictions, 3 * CAP as u64 + 1);
+        assert_eq!(files_in(&runner.dir), (CAP + 1, CAP + 1));
+        let envs = [("NASCENT_STEP_LIMIT", "1000".to_string())];
+        let r = runner::exec_binary(&held.exe, &envs, runner::run_timeout()).expect("held binary");
+        assert_eq!(r.output, [('i', 100)]);
+        // compiled again after its eviction, the program gets files of
+        // its own, which dropping the old handle leaves in place
+        let again = runner
+            .compiled(&crate::emit_c(&prints(100)))
+            .expect("compiles");
+        assert_ne!(again.exe, held.exe);
+        let (exe, source) = (held.exe.clone(), held.source.clone());
+        drop(held);
+        assert!(!exe.exists() && !source.exists());
+        assert!(again.exe.exists() && again.source.exists());
+        assert_eq!(files_in(&runner.dir), (CAP, CAP));
     }
 }

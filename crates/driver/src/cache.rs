@@ -11,22 +11,66 @@
 //! The cache is a [`nascent_obs::memo::Memo`], so concurrent identical
 //! requests coalesce: the first computes, the rest wait for and share
 //! its `Arc<Outcome>` — two simultaneous identical requests compute
-//! exactly once (see `tests/cache.rs`).
+//! exactly once (see `tests/cache.rs`). It holds at most
+//! [`CAPACITY`] outcomes and evicts the oldest first; a request whose
+//! outcome was evicted is computed again, to the same bytes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use nascent_obs::memo::{content_hash, MemoStats};
 
-use crate::{Outcome, PipelineError, Request};
+use crate::{Mode, Outcome, PipelineError, Request, RunConfig};
 
-/// Cache traffic counters (hits, misses, coalesced waits, entries).
-pub type CacheStats = MemoStats;
+/// Outcomes the result cache holds before it evicts its oldest: far
+/// above the 840 distinct requests of one perfbench `service-mix` pass,
+/// so a request repeated within a pass is still a hit.
+pub const CAPACITY: usize = 4096;
+
+/// Cache traffic counters: the memo's [`MemoStats`] without its
+/// eviction count, which [`Pipeline::cache_evictions`](crate::Pipeline::cache_evictions)
+/// reports (perfbench builds this struct from these four fields).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Calls answered from a computed entry.
+    pub hits: u64,
+    /// Calls that computed, counted when the computation starts.
+    pub misses: u64,
+    /// Calls that waited for an identical request's computation.
+    pub coalesced: u64,
+    /// Outcomes held, in-flight computations included.
+    pub entries: usize,
+}
+
+impl CacheStats {
+    /// hits / (hits + misses + coalesced), in [0, 1].
+    pub fn hit_rate(&self) -> f64 {
+        MemoStats {
+            hits: self.hits,
+            misses: self.misses,
+            coalesced: self.coalesced,
+            evictions: 0,
+            entries: self.entries,
+        }
+        .hit_rate()
+    }
+}
+
+impl From<MemoStats> for CacheStats {
+    fn from(m: MemoStats) -> CacheStats {
+        CacheStats {
+            hits: m.hits,
+            misses: m.misses,
+            coalesced: m.coalesced,
+            entries: m.entries,
+        }
+    }
+}
 
 /// Cache key: the program text's content hash and length, the
-/// configuration fingerprint (kept verbatim, it is tiny) and the mode.
-/// The cache does not retain request bodies.
-pub(crate) type Key = ((u64, u64), usize, String, &'static str);
+/// configuration and the mode, all plain values, so a key owns no heap
+/// memory. The cache does not retain request bodies.
+pub(crate) type Key = ((u64, u64), usize, RunConfig, Mode);
 
 /// A cached computation: the outcome, or why there is none.
 pub(crate) type Computed = Result<Arc<Outcome>, PipelineError>;
@@ -35,8 +79,8 @@ pub(crate) fn key(req: &Request) -> Key {
     (
         content_hash(req.program.as_bytes()),
         req.program.len(),
-        req.config.fingerprint(),
-        req.mode.name(),
+        req.config,
+        req.mode,
     )
 }
 
@@ -90,7 +134,7 @@ mod tests {
 
     #[test]
     fn a_panicking_computation_is_isolated_and_cached() {
-        let cache: Memo<Key, Computed> = Memo::new();
+        let cache: Memo<Key, Computed> = Memo::new(CAPACITY);
         let r = req("program p\nend\n");
         let (first, role) = cache.get_or_compute(key(&r), || isolated(|| panic!("boom")));
         assert_eq!(role, Role::Miss);

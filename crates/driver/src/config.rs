@@ -35,7 +35,7 @@ impl Mode {
 
 /// One run configuration: every knob that changes what the pipeline
 /// computes for a given source program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunConfig {
     /// Placement scheme.
     pub scheme: Scheme,

@@ -550,7 +550,7 @@ impl Pipeline {
     pub fn with_limits(limits: Limits) -> Pipeline {
         Pipeline {
             limits,
-            cache: Memo::new(),
+            cache: Memo::new(cache::CAPACITY),
         }
     }
 
@@ -558,7 +558,9 @@ impl Pipeline {
     /// match returns the stored outcome without recomputing; concurrent
     /// identical requests coalesce onto the first computation. The
     /// [`Role`] says which of the three answered this call. A panic in
-    /// the computation is stored as [`PipelineError::Panic`].
+    /// the computation is stored as [`PipelineError::Panic`]. The cache
+    /// keeps the [`cache::CAPACITY`] most recently computed outcomes;
+    /// an evicted request is a miss again and computes the same bytes.
     pub fn run(&self, req: &Request) -> (Result<Arc<Outcome>, PipelineError>, Role) {
         self.cache.get_or_compute(cache::key(req), || {
             cache::isolated(|| compute(req, &self.limits))
@@ -567,7 +569,12 @@ impl Pipeline {
 
     /// Cache traffic counters (hits, misses, coalesced waits, entries).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache.stats().into()
+    }
+
+    /// Outcomes the cache has evicted to stay within its capacity.
+    pub fn cache_evictions(&self) -> u64 {
+        self.cache.stats().evictions
     }
 }
 

@@ -114,6 +114,7 @@ pub struct Metrics {
     cache_hits: Gauge,
     cache_misses: Gauge,
     cache_coalesced: Gauge,
+    cache_evictions: Gauge,
     cache_entries: Gauge,
     cache_hit_rate: Gauge,
     /// Native compile-cache gauges, synced from
@@ -121,6 +122,7 @@ pub struct Metrics {
     native_hits: Gauge,
     native_compiles: Gauge,
     native_coalesced: Gauge,
+    native_evictions: Gauge,
     native_entries: Gauge,
     native_hit_rate: Gauge,
     optimize_latency: Histogram,
@@ -157,14 +159,18 @@ impl Metrics {
         let cache_gauge = |stat: &str| {
             registry.gauge(
                 "nascentd_cache",
-                "Fleet-wide result cache traffic",
+                "Fleet-wide result cache: calls answered as hits, misses or coalesced waits; \
+                 outcomes evicted, oldest first, to stay within its capacity; outcomes held; \
+                 hit rate",
                 &[("stat", stat)],
             )
         };
         let native_gauge = |stat: &str| {
             registry.gauge(
                 "nascentd_native_cache",
-                "Native-tier compile cache traffic (process-wide)",
+                "Native-tier compile cache (process-wide): runs answered as hits, compiles or \
+                 coalesced waits; binaries evicted, oldest first, to stay within its capacity \
+                 and deleted once no run holds them; binaries held; hit rate",
                 &[("stat", stat)],
             )
         };
@@ -213,11 +219,13 @@ impl Metrics {
             cache_hits: cache_gauge("hits"),
             cache_misses: cache_gauge("misses"),
             cache_coalesced: cache_gauge("coalesced"),
+            cache_evictions: cache_gauge("evictions"),
             cache_entries: cache_gauge("entries"),
             cache_hit_rate: cache_gauge("hit_rate"),
             native_hits: native_gauge("hits"),
             native_compiles: native_gauge("compiles"),
             native_coalesced: native_gauge("coalesced"),
+            native_evictions: native_gauge("evictions"),
             native_entries: native_gauge("entries"),
             native_hit_rate: native_gauge("hit_rate"),
             optimize_latency: lat("optimize"),
@@ -290,6 +298,7 @@ impl Metrics {
         self.cache_hits.set(cache.hits as f64);
         self.cache_misses.set(cache.misses as f64);
         self.cache_coalesced.set(cache.coalesced as f64);
+        self.cache_evictions.set(pipeline.cache_evictions() as f64);
         self.cache_entries.set(cache.entries as f64);
         self.cache_hit_rate
             .set((cache.hit_rate() * 1e4).round() / 1e4);
@@ -297,6 +306,7 @@ impl Metrics {
         self.native_hits.set(native.hits as f64);
         self.native_compiles.set(native.compiles as f64);
         self.native_coalesced.set(native.coalesced as f64);
+        self.native_evictions.set(native.evictions as f64);
         self.native_entries.set(native.entries as f64);
         self.native_hit_rate
             .set((native.hit_rate() * 1e4).round() / 1e4);

@@ -5,8 +5,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
+use nascent_driver::cache::CAPACITY;
 use nascent_driver::{compute, harness, Mode, Pipeline, Request, RunConfig};
-use nascent_obs::memo::Memo;
+use nascent_obs::memo::{Memo, Role};
 use nascent_rangecheck::Scheme;
 
 const PROGRAM: &str = "program cachetest
@@ -136,7 +137,7 @@ fn concurrent_identical_requests_compute_once() {
 #[test]
 fn coalesced_waiters_never_rerun_the_computation() {
     const THREADS: usize = 6;
-    let cache = Memo::new();
+    let cache = Memo::new(CAPACITY);
     let runs = AtomicUsize::new(0);
     let barrier = Barrier::new(THREADS);
     let req = request(PROGRAM);
@@ -167,4 +168,40 @@ fn errors_are_cached_like_outcomes() {
     assert_eq!(first, second);
     let stats = pipeline.cache_stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
+}
+
+/// A pipeline serving three times its capacity of distinct requests
+/// holds at most its capacity of outcomes, keeps the newest, and
+/// recomputes an evicted one to the bytes an uncached `compute` gives.
+#[test]
+fn a_soak_past_capacity_stays_bounded_and_recomputes_evicted_requests() {
+    const TINY: &str = "program soak\n integer a(1:4)\n a(2) = 3\n print a(2)\nend\n";
+    let soak = |n: usize| Request {
+        program: format!("! request {n}\n{TINY}"),
+        config: RunConfig::default(),
+        mode: Mode::Optimize,
+    };
+    let total = 3 * CAPACITY;
+    let pipeline = Pipeline::new();
+    let first = pipeline.run(&soak(0)).0.unwrap();
+    for n in 1..total {
+        let (out, role) = pipeline.run(&soak(n));
+        assert_eq!(role, Role::Miss);
+        assert_eq!(out.unwrap().counters.output, ["3"]);
+        // one caller, so nothing is in flight between calls
+        assert!(pipeline.cache_stats().entries <= CAPACITY);
+    }
+    let stats = pipeline.cache_stats();
+    assert_eq!((stats.misses, stats.entries), (total as u64, CAPACITY));
+    assert_eq!(pipeline.cache_evictions(), (total - CAPACITY) as u64);
+    assert_eq!(pipeline.run(&soak(total - 1)).1, Role::Hit);
+
+    let (again, role) = pipeline.run(&soak(0));
+    assert_eq!(role, Role::Miss, "the oldest request was evicted");
+    let again = again.unwrap();
+    assert!(!Arc::ptr_eq(&first, &again));
+    let fresh = compute(&soak(0), &harness::harness_limits()).unwrap();
+    let bytes = fresh.deterministic_json().render();
+    assert_eq!(again.deterministic_json().render(), bytes);
+    assert_eq!(first.deterministic_json().render(), bytes);
 }

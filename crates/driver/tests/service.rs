@@ -84,6 +84,8 @@ fn healthz_and_metrics_respond() {
     let prom = scrape(&addr(&server));
     for series in [
         "nascentd_cache{stat=\"hits\"}",
+        "nascentd_cache{stat=\"evictions\"}",
+        "nascentd_native_cache{stat=\"evictions\"}",
         "nascentd_request_duration_seconds_count{endpoint=\"certify\"}",
         "nascentd_pool_workers",
         "nascentd_pool_queued",
@@ -363,6 +365,10 @@ fn cached_flag_and_cache_hit_rate_are_reported() {
     );
     let prom = scrape(&a);
     assert_eq!(sample(&prom, "nascentd_cache{stat=\"hits\"}"), Some(1.0));
+    assert_eq!(
+        sample(&prom, "nascentd_cache{stat=\"evictions\"}"),
+        Some(0.0)
+    );
     assert_eq!(
         sample(
             &prom,

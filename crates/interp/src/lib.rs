@@ -49,7 +49,7 @@ pub use vm::run_compiled;
 /// translated to instrumented C (the paper's own §4 methodology),
 /// compiled once per distinct program through `nascent-cback`'s
 /// content-hash compile cache, and executed as a child process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The original tree-walking interpreter ([`machine::run`]).
     Tree,

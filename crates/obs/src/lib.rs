@@ -24,11 +24,13 @@
 //!   in responses and error diagnostics.
 //! * [`memo`] — the one content-hash memo: [`memo::Memo`] computes each
 //!   key once however many threads ask, makes concurrent callers wait
-//!   for the first, and answers each call with its [`memo::Role`] (hit,
-//!   miss or coalesced) and the [`memo::MemoStats`] counters that
-//!   `/metrics` reports; [`memo::content_hash`] is the double-FNV hash
-//!   its callers key content by. The driver's result cache and the
-//!   native tier's compile cache are both this memo.
+//!   for the first, holds at most a fixed number of entries (evicting
+//!   the oldest computed ones first, never one in flight), and answers
+//!   each call with its [`memo::Role`] (hit, miss or coalesced) and the
+//!   [`memo::MemoStats`] counters that `/metrics` reports;
+//!   [`memo::content_hash`] is the double-FNV hash its callers key
+//!   content by. The driver's result cache and the native tier's
+//!   compile cache are both this memo.
 
 pub mod memo;
 pub mod metrics;

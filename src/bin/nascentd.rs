@@ -19,6 +19,10 @@
 //!
 //! All requests share one [`nascent_driver::Pipeline`] and its
 //! fleet-wide result cache; identical concurrent requests compute once.
+//! The cache keeps the 4 096 newest outcomes (first in, first out), and
+//! the native tier's compile cache the 256 newest binaries, deleting an
+//! evicted binary once no run holds it. Both capacities are constants;
+//! `/metrics` counts their evictions.
 
 use std::process::ExitCode;
 
