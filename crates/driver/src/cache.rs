@@ -5,8 +5,9 @@
 //! discipline as the PR-2 `PassContext` tiers, lifted from one function
 //! inside one compile to whole requests across the fleet: a source or
 //! configuration edit changes the key, which *is* the invalidation (the
-//! old entry simply stops being addressed), while a hit skips parse,
-//! optimize, certify, and both measurement runs outright.
+//! old entry stops being addressed until eviction drops it), while a
+//! hit skips parse, optimize, certify, and both measurement runs
+//! outright.
 //!
 //! The cache is a [`nascent_obs::memo::Memo`], so concurrent identical
 //! requests coalesce: the first computes, the rest wait for and share

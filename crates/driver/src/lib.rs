@@ -14,8 +14,9 @@
 //!   (in [`Mode::Certify`]), runs and validates one configuration
 //!   against a given naive run,
 //! * [`Pipeline`] — [`compute`] behind a fleet-wide result cache keyed
-//!   by content hash of (source, config, mode) ([`cache`]); concurrent
-//!   identical requests coalesce onto one computation,
+//!   by content hash of (source, config, mode) ([`cache`]) that holds
+//!   at most [`cache::CAPACITY`] outcomes; concurrent identical
+//!   requests coalesce onto one computation,
 //! * [`harness`] — the experiment-matrix machinery (`prepare`, one cell
 //!   function over [`evaluate`] behind `evaluate_prepared`,
 //!   `certify_prepared` and `run_matrix`, the table configurations)
