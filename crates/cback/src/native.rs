@@ -12,49 +12,45 @@
 //! limits travel per *exec* (environment variables), not per binary, so
 //! one cached binary serves every limit setting.
 //!
-//! The cache holds at most [`CAPACITY`] binaries and evicts the oldest
-//! first. A cached binary is an `Arc` handle whose drop deletes the
-//! binary and its C source, so an evicted binary leaves the disk when
-//! the last run holding it finishes, and a run that fetched it just
-//! before its eviction still execs it.
+//! The tier leaves nothing on disk. A compile writes its C source and
+//! its binary under `$TMPDIR` with a name no other compile uses, opens
+//! the binary read-only and unlinks both files. A cached binary is an
+//! `Arc<File>`, and runs exec it through `/proc/self/fd/<n>`, so the
+//! tier needs Linux's `/proc`. The cache holds at most [`CAPACITY`]
+//! binaries and evicts the oldest first; an evicted binary's inode is
+//! freed when the last run holding it finishes, and a run that fetched
+//! it just before its eviction still execs it.
+//!
+//! A run has two phases. [`NativeRunner::start`] emits the C, looks up
+//! or compiles the binary and spawns it; [`NativeRun::finish`] reads the
+//! child's output, reaps it and parses the protocol. Between the two the
+//! caller is free: the driver optimizes while the naive binary runs.
+//! [`run`](NativeRunner::run) is the two back to back. Dropping an
+//! unfinished [`NativeRun`] kills and reaps its child.
 //!
 //! [`global()`] is the process-wide instance every
 //! `Engine::Native` run goes through; [`stats()`](NativeRunner::stats)
 //! feeds the service's `/metrics` gauges and the `native_differential`
 //! binary's round-2 hit-rate check.
 
-use std::path::PathBuf;
+use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use nascent_ir::Program;
 use nascent_obs::memo::{content_hash, Memo, MemoStats, Role};
+use nascent_obs::trace::{span, Span};
 
-use crate::runner::{self, CRunError, CRunResult};
+use crate::runner::{self, CRunError, CRunResult, Running};
 
-/// Binaries a runner keeps before it deletes its oldest: above the 130
+/// Binaries a runner keeps before it drops its oldest: above the 130
 /// distinct programs the 420-cell matrix compiles, so a second round
 /// over the matrix compiles nothing.
 pub const CAPACITY: usize = 256;
 
-/// A compiled binary and its C source on disk, both deleted when the
-/// last handle drops.
-#[derive(Debug)]
-struct Binary {
-    exe: PathBuf,
-    source: PathBuf,
-}
-
-impl Drop for Binary {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.exe);
-        let _ = std::fs::remove_file(&self.source);
-    }
-}
-
-/// A finished compile: the binary, or (compiler, stderr) of the
-/// failure — clonable so every waiter sees the owner's verdict.
-type Compiled = Result<Arc<Binary>, (String, String)>;
+/// A finished compile: the open, unlinked binary, or (compiler, stderr)
+/// of the failure — clonable so every waiter sees the owner's verdict.
+type Compiled = Result<Arc<File>, (String, String)>;
 
 /// Compile-cache traffic counters: the memo's counters, with its
 /// misses named for what a miss does here.
@@ -67,8 +63,8 @@ pub struct NativeCacheStats {
     /// Runs that arrived while an identical compile was in flight and
     /// waited for its binary instead of recompiling.
     pub coalesced: u64,
-    /// Binaries evicted to stay within [`CAPACITY`], each deleted from
-    /// disk once no run holds it.
+    /// Binaries evicted to stay within [`CAPACITY`], each closed once
+    /// no run holds it.
     pub evictions: u64,
     /// Compiles held, failed and in-flight ones included.
     pub entries: usize,
@@ -102,13 +98,12 @@ impl NativeCacheStats {
 
 /// The content-hash-keyed compile cache + exec engine.
 pub struct NativeRunner {
-    dir: PathBuf,
     binaries: Memo<((u64, u64), usize), Compiled>,
-    /// Compiles started, numbering their files: a program evicted and
-    /// compiled again gets new files, which the old handle's drop
-    /// leaves alone.
+    /// `nascent-native-<pid>-<runner>-`: the start of the name of every
+    /// file this runner's compiles write.
+    prefix: String,
+    /// Compiles started, ending their file names.
     files: AtomicU64,
-    cleanup: bool,
 }
 
 static GLOBAL: OnceLock<NativeRunner> = OnceLock::new();
@@ -118,7 +113,7 @@ static INSTANCE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// the process shares one cache, so each distinct optimized program
 /// compiles exactly once per fleet.
 pub fn global() -> &'static NativeRunner {
-    GLOBAL.get_or_init(|| NativeRunner::with_capacity(false, CAPACITY))
+    GLOBAL.get_or_init(NativeRunner::new)
 }
 
 /// Compile-cache counters of the [`global`] runner (service metrics,
@@ -133,29 +128,65 @@ impl Default for NativeRunner {
     }
 }
 
+/// A spawned native run, collected by [`finish`](NativeRun::finish).
+/// Dropping it unfinished kills and reaps the child.
+#[derive(Debug)]
+pub struct NativeRun(Running);
+
+impl NativeRun {
+    /// Reads the child's output to EOF, reaps it and parses the
+    /// protocol. A child still running at its deadline
+    /// (`NASCENT_CBACK_TIMEOUT_MS`, counted from the spawn) is killed
+    /// and reported as [`CRunError::Timeout`]; one that exited before
+    /// it returns its result, however late this is called.
+    ///
+    /// # Errors
+    ///
+    /// See [`CRunError`].
+    pub fn finish(self) -> Result<CRunResult, CRunError> {
+        finish_exec(span("exec", "native"), self.0)
+    }
+}
+
+/// The environment that sets a run's limits.
+fn limits(max_steps: u64, max_call_depth: u64, repeat: u64) -> [(&'static str, String); 3] {
+    [
+        ("NASCENT_STEP_LIMIT", max_steps.to_string()),
+        ("NASCENT_DEPTH_LIMIT", max_call_depth.to_string()),
+        ("NASCENT_CBACK_REPEAT", repeat.to_string()),
+    ]
+}
+
+/// Collects `run` under its `exec` span, which records the binary's own
+/// time.
+fn finish_exec(mut sp: Span, run: Running) -> Result<CRunResult, CRunError> {
+    let r = run.finish();
+    if let Ok(res) = &r {
+        sp.attr("exec_ns", res.exec_ns.unwrap_or(0));
+    }
+    r
+}
+
 impl NativeRunner {
-    /// A fresh runner with its own scratch directory, removed on drop.
+    /// A fresh runner with a cache of its own.
     pub fn new() -> NativeRunner {
-        NativeRunner::with_capacity(true, CAPACITY)
+        NativeRunner::with_capacity(CAPACITY)
     }
 
-    fn with_capacity(cleanup: bool, capacity: usize) -> NativeRunner {
+    fn with_capacity(capacity: usize) -> NativeRunner {
         let seq = INSTANCE_SEQ.fetch_add(1, Ordering::Relaxed);
         NativeRunner {
-            dir: std::env::temp_dir().join(format!(
-                "nascent-native-{}-{}",
-                std::process::id(),
-                seq
-            )),
             binaries: Memo::new(capacity),
+            prefix: format!("nascent-native-{}-{seq}-", std::process::id()),
             files: AtomicU64::new(0),
-            cleanup,
         }
     }
 
     /// Emits, compiles (once per distinct program), and runs `prog`
     /// under the given limits, which are passed to the binary via
-    /// environment variables so they never fragment the cache key.
+    /// environment variables so they never fragment the cache key: a
+    /// [`start`](Self::start) and its [`finish`](NativeRun::finish)
+    /// back to back, under one `exec` span from spawn to exit.
     ///
     /// # Errors
     ///
@@ -186,50 +217,60 @@ impl NativeRunner {
         max_call_depth: u64,
         repeat: u64,
     ) -> Result<CRunResult, CRunError> {
+        let binary = self.binary(prog)?;
+        let envs = limits(max_steps, max_call_depth, repeat);
+        let sp = span("exec", "native");
+        let run = runner::spawn(&binary, &envs, runner::run_timeout())?;
+        finish_exec(sp, run)
+    }
+
+    /// The first half of [`run`](Self::run): emits `prog`, looks up or
+    /// compiles its binary and spawns it, returning as soon as the
+    /// child runs.
+    ///
+    /// # Errors
+    ///
+    /// See [`CRunError`]: a compile or spawn failure is reported here,
+    /// everything about the run itself by [`NativeRun::finish`].
+    pub fn start(
+        &self,
+        prog: &Program,
+        max_steps: u64,
+        max_call_depth: u64,
+    ) -> Result<NativeRun, CRunError> {
+        let binary = self.binary(prog)?;
+        let envs = limits(max_steps, max_call_depth, 1);
+        let _sp = span("exec", "native");
+        runner::spawn(&binary, &envs, runner::run_timeout()).map(NativeRun)
+    }
+
+    /// The compiled binary of `prog`.
+    fn binary(&self, prog: &Program) -> Result<Arc<File>, CRunError> {
         let c_source = {
-            let _sp = nascent_obs::trace::span("emit", "native");
+            let _sp = span("emit", "native");
             crate::emit_c(prog)
         };
-        let bin = self.compiled(&c_source)?;
-        let envs = [
-            ("NASCENT_STEP_LIMIT", max_steps.to_string()),
-            ("NASCENT_DEPTH_LIMIT", max_call_depth.to_string()),
-            ("NASCENT_CBACK_REPEAT", repeat.to_string()),
-        ];
-        let mut sp = nascent_obs::trace::span("exec", "native");
-        let r = runner::exec_binary(&bin.exe, &envs, runner::run_timeout());
-        if let Ok(res) = &r {
-            sp.attr("exec_ns", res.exec_ns.unwrap_or(0));
-        }
-        r
+        self.compiled(&c_source)
     }
 
     /// The compiled binary for `c_source`: the first caller compiles,
     /// concurrent callers wait, later callers are instant hits. The
-    /// handle keeps the binary on disk, evicted or not.
-    fn compiled(&self, c_source: &str) -> Result<Arc<Binary>, CRunError> {
+    /// handle keeps the binary open, evicted or not.
+    fn compiled(&self, c_source: &str) -> Result<Arc<File>, CRunError> {
         let hash = content_hash(c_source.as_bytes());
-        let mut sp = nascent_obs::trace::span("compile", "native");
+        let mut sp = span("compile", "native");
         let (compiled, role) = self
             .binaries
-            .get_or_compute((hash, c_source.len()), || self.compile_now(c_source, hash));
+            .get_or_compute((hash, c_source.len()), || self.compile_now(c_source));
         sp.attr("cached", i64::from(role != Role::Miss));
         compiled.map_err(|(compiler, stderr)| CRunError::CompileFailed { compiler, stderr })
     }
 
-    fn compile_now(&self, c_source: &str, (h1, h2): (u64, u64)) -> Compiled {
-        if let Err(e) = std::fs::create_dir_all(&self.dir) {
-            return Err(("mkdir".to_string(), e.to_string()));
-        }
+    fn compile_now(&self, c_source: &str) -> Compiled {
         let n = self.files.fetch_add(1, Ordering::Relaxed);
-        let name = format!("p{h1:016x}{h2:016x}-{n}");
-        // owned before the compile, so a failed one leaves no file behind
-        let binary = Binary {
-            exe: self.dir.join(&name),
-            source: self.dir.join(format!("{name}.c")),
-        };
-        match runner::compile_c(c_source, &self.dir, &name) {
-            Ok(_) => Ok(Arc::new(binary)),
+        let exe = std::env::temp_dir().join(format!("{}{n}", self.prefix));
+        match runner::compile(c_source, &exe) {
+            Ok(binary) => Ok(Arc::new(binary)),
             Err(CRunError::CompileFailed { compiler, stderr }) => Err((compiler, stderr)),
             Err(other) => Err((runner::cc_command(), other.to_string())),
         }
@@ -248,14 +289,6 @@ impl NativeRunner {
     }
 }
 
-impl Drop for NativeRunner {
-    fn drop(&mut self) {
-        if self.cleanup {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,29 +303,36 @@ mod tests {
         Program::single(b.finish())
     }
 
-    /// Binaries (files without an extension) and C sources in `dir`.
-    fn files_in(dir: &std::path::Path) -> (usize, usize) {
-        let names: Vec<PathBuf> = std::fs::read_dir(dir)
-            .expect("runner directory exists")
-            .map(|e| e.expect("directory entry").path())
-            .collect();
-        let sources = names.iter().filter(|p| p.extension().is_some()).count();
-        (names.len() - sources, sources)
+    /// Files in `$TMPDIR` that `runner`'s compiles wrote.
+    fn files_of(runner: &NativeRunner) -> Vec<String> {
+        std::fs::read_dir(std::env::temp_dir())
+            .expect("temporary directory lists")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(&runner.prefix))
+            .collect()
+    }
+
+    /// What `binary` prints.
+    fn output_of(binary: &File) -> Vec<(char, u64)> {
+        let envs = [("NASCENT_STEP_LIMIT", "1000".to_string())];
+        runner::spawn(binary, &envs, runner::run_timeout())
+            .and_then(Running::finish)
+            .expect("binary runs")
+            .output
     }
 
     #[test]
-    fn the_directory_holds_at_most_capacity_binaries_and_a_held_one_outlives_eviction() {
+    fn no_file_remains_and_an_evicted_binary_runs_while_held() {
         if !crate::cc_available() {
             eprintln!("skipping: no C compiler for the native tier ($CC / cc)");
             return;
         }
         const CAP: usize = 2;
-        let runner = NativeRunner::with_capacity(true, CAP);
+        let runner = NativeRunner::with_capacity(CAP);
         for n in 0..3 * CAP as i64 {
             let r = runner.run(&prints(n), 1_000, 16).expect("native run");
             assert_eq!(r.output, [('i', n as u64)]);
-            let (binaries, sources) = files_in(&runner.dir);
-            assert!(binaries <= CAP && sources <= CAP, "{binaries} binaries");
+            assert_eq!(files_of(&runner), Vec::<String>::new());
         }
         assert_eq!(runner.stats().evictions, 2 * CAP as u64);
 
@@ -304,20 +344,19 @@ mod tests {
             runner.run(&prints(n), 1_000, 16).expect("native run");
         }
         assert_eq!(runner.stats().evictions, 3 * CAP as u64 + 1);
-        assert_eq!(files_in(&runner.dir), (CAP + 1, CAP + 1));
-        let envs = [("NASCENT_STEP_LIMIT", "1000".to_string())];
-        let r = runner::exec_binary(&held.exe, &envs, runner::run_timeout()).expect("held binary");
-        assert_eq!(r.output, [('i', 100)]);
-        // compiled again after its eviction, the program gets files of
-        // its own, which dropping the old handle leaves in place
+        assert_eq!(output_of(&held), [('i', 100)]);
+        // compiled again after its eviction, the program runs from a
+        // binary of its own
+        let compiles = runner.stats().compiles;
         let again = runner
             .compiled(&crate::emit_c(&prints(100)))
             .expect("compiles");
-        assert_ne!(again.exe, held.exe);
-        let (exe, source) = (held.exe.clone(), held.source.clone());
+        assert_eq!(runner.stats().compiles, compiles + 1);
+        assert!(!Arc::ptr_eq(&held, &again));
         drop(held);
-        assert!(!exe.exists() && !source.exists());
-        assert!(again.exe.exists() && again.source.exists());
-        assert_eq!(files_in(&runner.dir), (CAP, CAP));
+        assert_eq!(output_of(&again), [('i', 100)]);
+        let r = runner.run(&prints(100), 1_000, 16).expect("native run");
+        assert_eq!(r.output, [('i', 100)]);
+        assert_eq!(files_of(&runner), Vec::<String>::new());
     }
 }

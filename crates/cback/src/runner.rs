@@ -1,13 +1,24 @@
 //! Compiles and runs generated C, parsing the instrumentation protocol.
 //!
-//! The compiler is `$CC` when set (falling back to `cc`); runs are
-//! bounded by a wall-clock timeout (`NASCENT_CBACK_TIMEOUT_MS`, default
-//! 60 s). [`crate::native::NativeRunner`] owns the scratch directory the
-//! binaries live in.
+//! The compiler is `$CC` when set (falling back to `cc`). A compile
+//! leaves no file behind: [`compile`] returns the binary as an open,
+//! already unlinked file, and [`spawn`] execs it through
+//! `/proc/self/fd/<n>`.
+//!
+//! A run is a child process whose stdout is one end of a Unix socket
+//! pair. [`Running::finish`] reads the other end to EOF on the calling
+//! thread, each read bounded by what is left of the run's deadline
+//! (`NASCENT_CBACK_TIMEOUT_MS`, default 60 s, counted from the spawn),
+//! then reaps the child: no reader thread and no polling. A child that
+//! writes more than the socket buffer holds blocks until `finish`
+//! reads it.
 
-use std::io::Read as _;
+use std::fs::File;
+use std::io::{ErrorKind, Read as _};
+use std::os::fd::{AsRawFd as _, OwnedFd};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitStatus, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// A trap parsed from a `T <ins> <prg> <fn> <check>` protocol line —
@@ -141,19 +152,35 @@ pub(crate) fn run_timeout() -> Duration {
         .unwrap_or(Duration::from_secs(60))
 }
 
-/// Writes `c_source` into `dir` as `<name>.c` and compiles it (with
-/// `-O2 -fwrapv`) to `dir/<name>`, returning the binary path.
-pub(crate) fn compile_c(c_source: &str, dir: &Path, name: &str) -> Result<PathBuf, CRunError> {
-    let c_path = dir.join(format!("{name}.c"));
-    let bin_path = dir.join(name);
-    std::fs::write(&c_path, c_source)?;
+/// A compile's two files, unlinked however the compile ends.
+struct Unlink([PathBuf; 2]);
+
+impl Drop for Unlink {
+    fn drop(&mut self) {
+        for path in &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// Writes `c_source` to `<exe>.c`, compiles it (with `-O2 -fwrapv`) to
+/// `exe`, and returns the binary opened read-only. Both files are
+/// unlinked before this returns, so the open file is the binary's only
+/// reference: [`spawn`] execs it through `/proc/self/fd`, and closing
+/// the last handle frees it.
+pub(crate) fn compile(c_source: &str, exe: &Path) -> Result<File, CRunError> {
+    let mut source = exe.as_os_str().to_owned();
+    source.push(".c");
+    let files = Unlink([exe.to_path_buf(), source.into()]);
+    let [exe, source] = &files.0;
+    std::fs::write(source, c_source)?;
     let compiler = cc_command();
     let cc = Command::new(&compiler)
         .arg("-O2")
         .arg("-fwrapv")
         .arg("-o")
-        .arg(&bin_path)
-        .arg(&c_path)
+        .arg(exe)
+        .arg(source)
         .arg("-lm")
         .output()?;
     if !cc.status.success() {
@@ -162,54 +189,95 @@ pub(crate) fn compile_c(c_source: &str, dir: &Path, name: &str) -> Result<PathBu
             stderr: String::from_utf8_lossy(&cc.stderr).into_owned(),
         });
     }
-    Ok(bin_path)
+    Ok(File::open(exe)?)
 }
 
-/// Runs a compiled instrumented binary with the given extra environment,
-/// killing it after `timeout`, and parses the protocol.
-pub(crate) fn exec_binary(
-    bin: &Path,
+/// A spawned binary: the child, whose stdout is the other end of
+/// `stdout`, and the deadline its run must end by. Dropping an
+/// unfinished run kills and reaps the child.
+#[derive(Debug)]
+pub(crate) struct Running {
+    child: Child,
+    stdout: UnixStream,
+    deadline: Instant,
+    limit: Duration,
+}
+
+/// Spawns the compiled binary `exe` with the given extra environment.
+/// Its run may last `limit` from the spawn.
+pub(crate) fn spawn(
+    exe: &File,
     envs: &[(&str, String)],
-    timeout: Duration,
-) -> Result<CRunResult, CRunError> {
-    let mut cmd = Command::new(bin);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd
+    limit: Duration,
+) -> Result<Running, CRunError> {
+    let (stdout, theirs) = UnixStream::pair()?;
+    // the `Command` is a temporary: it drops, closing this process's copy
+    // of the child's end, before the first read, so EOF means the child
+    // closed its stdout
+    let child = Command::new(format!("/proc/self/fd/{}", exe.as_raw_fd()))
+        .envs(envs.iter().map(|(k, v)| (k, v)))
         .stdin(Stdio::null())
-        .stdout(Stdio::piped())
+        .stdout(OwnedFd::from(theirs))
         .stderr(Stdio::null())
         .spawn()?;
-    let mut pipe = child.stdout.take().expect("stdout piped");
-    let reader = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = pipe.read_to_end(&mut buf);
-        buf
-    });
-    let deadline = Instant::now() + timeout;
-    let status: ExitStatus = loop {
-        if let Some(st) = child.try_wait()? {
-            break st;
+    Ok(Running {
+        child,
+        stdout,
+        deadline: Instant::now() + limit,
+        limit,
+    })
+}
+
+impl Running {
+    /// Reads the child's output to EOF, reaps it and parses the protocol.
+    /// A child still running at its deadline is killed and reported as
+    /// [`CRunError::Timeout`]; one that exited before it is not, however
+    /// late this is called.
+    pub(crate) fn finish(mut self) -> Result<CRunResult, CRunError> {
+        let mut out = Vec::new();
+        let mut chunk = [0u8; 8192];
+        loop {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() && self.child.try_wait()?.is_none() {
+                // dropping `self` kills and reaps the child
+                return Err(CRunError::Timeout { limit: self.limit });
+            }
+            // past the deadline the child has exited, so every byte it
+            // wrote is buffered and no read can block
+            self.stdout
+                .set_read_timeout((!left.is_zero()).then_some(left))?;
+            match self.stdout.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => out.extend_from_slice(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(e) => return Err(e.into()),
+            }
         }
-        if Instant::now() >= deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            let _ = reader.join();
-            return Err(CRunError::Timeout { limit: timeout });
+        let status = self.child.wait()?;
+        let stdout = String::from_utf8_lossy(&out).into_owned();
+        match parse_protocol(&stdout) {
+            // a reported runtime error wins over the generic nonzero-exit story
+            Err(CRunError::Runtime(e)) => Err(CRunError::Runtime(e)),
+            _ if !status.success() => Err(CRunError::RunFailed {
+                code: status.code(),
+                stdout,
+            }),
+            other => other,
         }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    let stdout = String::from_utf8_lossy(&reader.join().unwrap_or_default()).into_owned();
-    let parsed = parse_protocol(&stdout);
-    match parsed {
-        // a reported runtime error wins over the generic nonzero-exit story
-        Err(CRunError::Runtime(e)) => Err(CRunError::Runtime(e)),
-        _ if !status.success() => Err(CRunError::RunFailed {
-            code: status.code(),
-            stdout,
-        }),
-        other => other,
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        // `try_wait` answers from its cache once the child is reaped
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
     }
 }
 
@@ -330,6 +398,114 @@ fn parse_protocol(stdout: &str) -> Result<CRunResult, CRunError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nascent_ir::{Expr, FunctionBuilder, Program, Stmt, Terminator, Ty};
+
+    /// `prog` compiled to an open binary, or `None` when the host has no
+    /// C compiler.
+    fn binary(prog: &Program, name: &str) -> Option<File> {
+        if !crate::cc_available() {
+            eprintln!("skipping: no C compiler for the native tier ($CC / cc)");
+            return None;
+        }
+        let exe = std::env::temp_dir().join(format!(
+            "nascent-native-{}-runner-{name}",
+            std::process::id()
+        ));
+        Some(compile(&crate::emit_c(prog), &exe).expect("compiles"))
+    }
+
+    /// A program whose entry block jumps to itself.
+    fn looping() -> Program {
+        let mut b = FunctionBuilder::new("main");
+        let entry = b.entry();
+        b.jump(entry, entry);
+        Program::single(b.finish())
+    }
+
+    /// A program that prints `1..=n`.
+    fn counts_to(n: i64) -> Program {
+        let mut b = FunctionBuilder::new("main");
+        let i = b.var("i", Ty::Int);
+        let entry = b.entry();
+        let exit = b.counted_loop(entry, i, Expr::int(1), Expr::int(n), |b, body| {
+            b.push(body, Stmt::Emit(Expr::var(i)));
+            body
+        });
+        b.terminate(exit, Terminator::Return);
+        Program::single(b.finish())
+    }
+
+    fn proc_entry(pid: u32) -> std::path::PathBuf {
+        std::path::PathBuf::from(format!("/proc/{pid}"))
+    }
+
+    #[test]
+    fn a_looping_binary_times_out_and_is_reaped() {
+        let Some(exe) = binary(&looping(), "loop") else {
+            return;
+        };
+        let limit = Duration::from_millis(50);
+        let t0 = Instant::now();
+        let run = spawn(&exe, &[], limit).expect("spawns");
+        let pid = run.child.id();
+        let r = run.finish();
+        assert!(
+            matches!(r, Err(CRunError::Timeout { limit: l }) if l == limit),
+            "{r:?}"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        assert!(!proc_entry(pid).exists(), "child {pid} left behind");
+    }
+
+    #[test]
+    fn a_run_collected_after_its_deadline_returns_what_its_exited_child_wrote() {
+        let Some(exe) = binary(&counts_to(3), "late") else {
+            return;
+        };
+        let limit = Duration::from_millis(200);
+        let run = spawn(&exe, &[], limit).expect("spawns");
+        // wait until the child is a zombie, then past its deadline
+        let stat = proc_entry(run.child.id()).join("stat");
+        let t0 = Instant::now();
+        while !std::fs::read_to_string(&stat)
+            .expect("unreaped child has a stat")
+            .rsplit_once(") ")
+            .is_some_and(|(_, rest)| rest.starts_with('Z'))
+        {
+            assert!(t0.elapsed() < Duration::from_secs(10), "child never exits");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(limit);
+        assert!(Instant::now() > run.deadline);
+        let r = run.finish().expect("an exited child is no timeout");
+        assert_eq!(r.output, [('i', 1), ('i', 2), ('i', 3)]);
+    }
+
+    #[test]
+    fn dropping_an_unfinished_run_kills_and_reaps_its_child() {
+        let Some(exe) = binary(&looping(), "drop") else {
+            return;
+        };
+        let run = spawn(&exe, &[], Duration::from_secs(60)).expect("spawns");
+        let pid = run.child.id();
+        assert!(proc_entry(pid).exists());
+        drop(run);
+        assert!(!proc_entry(pid).exists(), "child {pid} left behind");
+    }
+
+    #[test]
+    fn output_beyond_the_socket_buffer_waits_for_the_reader() {
+        const N: i64 = 200_000;
+        let Some(exe) = binary(&counts_to(N), "big") else {
+            return;
+        };
+        let run = spawn(&exe, &[], Duration::from_secs(60)).expect("spawns");
+        // the child fills the socket buffer and blocks until `finish` reads
+        std::thread::sleep(Duration::from_millis(50));
+        let r = run.finish().expect("runs");
+        assert_eq!(r.output.len(), N as usize);
+        assert_eq!(r.output.last(), Some(&('i', N as u64)));
+    }
 
     #[test]
     fn protocol_parses() {

@@ -170,7 +170,7 @@ impl Metrics {
                 "nascentd_native_cache",
                 "Native-tier compile cache (process-wide): runs answered as hits, compiles or \
                  coalesced waits; binaries evicted, oldest first, to stay within its capacity \
-                 and deleted once no run holds them; binaries held; hit rate",
+                 and freed once no run holds them; binaries held; hit rate",
                 &[("stat", stat)],
             )
         };
