@@ -10,9 +10,10 @@
 //!   ([`config`]),
 //! * [`compute`] — a [`Request`] `{ program, config, mode }` →
 //!   [`Outcome`] `{ stats, certificate, counters, timings }` function:
-//!   parse, the naive run, then [`evaluate`], which optimizes, certifies
-//!   (in [`Mode::Certify`]), runs and validates one configuration
-//!   against a given naive run,
+//!   parse, start the naive run, then optimize, certify (in
+//!   [`Mode::Certify`]) and run one configuration while a native naive
+//!   binary runs beside it, and validate against the naive run;
+//!   [`evaluate`] is the same against a given naive run,
 //! * [`Pipeline`] — [`compute`] behind a fleet-wide result cache keyed
 //!   by content hash of (source, config, mode) ([`cache`]) that holds
 //!   at most [`cache::CAPACITY`] outcomes; concurrent identical
@@ -66,7 +67,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use nascent_frontend::compile;
-use nascent_interp::{run_with_engine, Limits, RunResult};
+use nascent_interp::{run_with_engine, start_with_engine, Limits, RunError, RunResult};
 use nascent_ir::Program;
 use nascent_obs::memo::{Memo, Role};
 use nascent_rangecheck::{
@@ -144,13 +145,16 @@ pub struct Outcome {
 pub struct StageNanos {
     /// MiniF source → IR.
     pub parse_ns: u64,
-    /// Naive (unoptimized) measurement run.
+    /// Naive (unoptimized) measurement run: the time [`compute`] spent
+    /// starting it and, for a native run, collecting it — never the time
+    /// the binary ran beside the optimizer.
     pub naive_run_ns: u64,
     /// Classic pre-pass + range-check optimizer.
     pub optimize_ns: u64,
     /// Translation validation of the optimization run.
     pub certify_ns: u64,
-    /// Optimized measurement run plus differential validation.
+    /// Optimized measurement run. The differential validation against
+    /// the naive run follows the stages.
     pub execute_ns: u64,
 }
 
@@ -445,8 +449,16 @@ fn validate_runs(naive: &RunResult, opt: &RunResult) -> Result<(), PipelineError
     }
 }
 
-/// The canonical pipeline: compile, run the naive program, then
-/// [`evaluate`] the configuration against that run.
+/// The canonical pipeline: compile, start the naive run, optimize,
+/// certify and run the optimized program, then validate it against the
+/// naive run.
+///
+/// The naive run starts right after parsing and is collected just before
+/// the validation. The tree and the VM finish it inside its first
+/// `naive-run` stage; a native binary runs on beside the optimizer and
+/// the optimized run, and collecting it is a second `naive-run` stage
+/// after `execute`. A naive run that fails returns its `naive run: …`
+/// error in preference to any later one.
 ///
 /// This is the uncached single-request path; [`Pipeline::run`] adds the
 /// fleet-wide cache and request coalescing on top.
@@ -460,14 +472,26 @@ pub fn compute(req: &Request, limits: &Limits) -> Result<Outcome, PipelineError>
     let parse_ns = sp.finish().as_nanos() as u64;
 
     let sp = nascent_obs::trace::timed_span("naive-run", "stage");
-    let naive = run_with_engine(&naive_prog, limits, req.config.engine)
-        .map_err(|e| PipelineError::Run(format!("naive run: {e}")))?;
-    let naive_run_ns = sp.finish().as_nanos() as u64;
+    let naive = start_with_engine(&naive_prog, limits, req.config.engine).map_err(naive_run)?;
+    let mut naive_run_ns = sp.finish().as_nanos() as u64;
 
-    let mut outcome = evaluate(naive_prog, &naive, &req.config, req.mode, limits)?;
+    let optimized = optimize_and_run(naive_prog, &req.config, req.mode, limits);
+
+    let collect = naive
+        .is_pending()
+        .then(|| nascent_obs::trace::timed_span("naive-run", "stage"));
+    let naive = naive.wait();
+    naive_run_ns += collect.map_or(0, |sp| sp.finish().as_nanos() as u64);
+
+    let naive = naive.map_err(naive_run)?;
+    let mut outcome = optimized?.validate(&naive, &req.config, req.mode)?;
     outcome.stages.parse_ns = parse_ns;
     outcome.stages.naive_run_ns = naive_run_ns;
     Ok(outcome)
+}
+
+fn naive_run(e: RunError) -> PipelineError {
+    PipelineError::Run(format!("naive run: {e}"))
 }
 
 /// Evaluates one configuration of a compiled program against its naive
@@ -483,49 +507,88 @@ pub fn compute(req: &Request, limits: &Limits) -> Result<Outcome, PipelineError>
 /// against `naive`. A certificate with diagnostics is not an error; it
 /// is returned in the outcome.
 pub fn evaluate(
-    mut program: Program,
+    program: Program,
     naive: &RunResult,
     config: &RunConfig,
     mode: Mode,
     limits: &Limits,
 ) -> Result<Outcome, PipelineError> {
+    optimize_and_run(program, config, mode, limits)?.validate(naive, config, mode)
+}
+
+/// An optimized, certified and executed configuration, awaiting the
+/// naive run it is validated against.
+struct Optimized {
+    stats: OptimizeStats,
+    certificate: Option<Certificate>,
+    timings: Timings,
+    stages: StageNanos,
+    run: RunResult,
+}
+
+/// The `optimize`, `certify` and `execute` stages of one configuration.
+fn optimize_and_run(
+    mut program: Program,
+    config: &RunConfig,
+    mode: Mode,
+    limits: &Limits,
+) -> Result<Optimized, PipelineError> {
     let mut stages = StageNanos::default();
     let (stats, certificate, timings) = optimize_stages(config, mode, &mut program, &mut stages);
 
     let sp = nascent_obs::trace::timed_span("execute", "stage");
-    let opt = run_with_engine(&program, limits, config.engine)
+    let run = run_with_engine(&program, limits, config.engine)
         .map_err(|e| PipelineError::Run(format!("optimized run: {e}")))?;
-    // The classic pre-pass legitimately changes non-check work, so the
-    // differential validation only applies to the pure range-check
-    // pipeline.
-    if !config.classic {
-        validate_runs(naive, &opt)?;
-    }
     stages.execute_ns = sp.finish().as_nanos() as u64;
-
-    let percent = match naive.dynamic_checks {
-        0 => 0.0,
-        n => 100.0 * (1.0 - opt.dynamic_checks as f64 / n as f64),
-    };
-    Ok(Outcome {
-        config: *config,
-        mode,
+    Ok(Optimized {
         stats,
         certificate,
-        counters: Counters {
-            naive_checks: naive.dynamic_checks,
-            naive_instructions: naive.dynamic_instructions,
-            dynamic_checks: opt.dynamic_checks,
-            dynamic_guard_ops: opt.dynamic_guard_ops,
-            dynamic_instructions: opt.dynamic_instructions,
-            dynamic_progress: opt.dynamic_progress,
-            percent_eliminated: percent,
-            output: opt.output.iter().map(|v| v.to_string()).collect(),
-            trap: opt.trap.as_ref().map(render_trap),
-        },
         timings,
         stages,
+        run,
     })
+}
+
+impl Optimized {
+    /// Validates the optimized run against `naive` and builds the
+    /// outcome.
+    fn validate(
+        self,
+        naive: &RunResult,
+        config: &RunConfig,
+        mode: Mode,
+    ) -> Result<Outcome, PipelineError> {
+        let opt = self.run;
+        // The classic pre-pass legitimately changes non-check work, so the
+        // differential validation only applies to the pure range-check
+        // pipeline.
+        if !config.classic {
+            validate_runs(naive, &opt)?;
+        }
+        let percent = match naive.dynamic_checks {
+            0 => 0.0,
+            n => 100.0 * (1.0 - opt.dynamic_checks as f64 / n as f64),
+        };
+        Ok(Outcome {
+            config: *config,
+            mode,
+            stats: self.stats,
+            certificate: self.certificate,
+            counters: Counters {
+                naive_checks: naive.dynamic_checks,
+                naive_instructions: naive.dynamic_instructions,
+                dynamic_checks: opt.dynamic_checks,
+                dynamic_guard_ops: opt.dynamic_guard_ops,
+                dynamic_instructions: opt.dynamic_instructions,
+                dynamic_progress: opt.dynamic_progress,
+                percent_eliminated: percent,
+                output: opt.output.iter().map(|v| v.to_string()).collect(),
+                trap: opt.trap.as_ref().map(render_trap),
+            },
+            timings: self.timings,
+            stages: self.stages,
+        })
+    }
 }
 
 /// The shared pipeline front door: [`compute`] behind a fleet-wide

@@ -31,12 +31,11 @@
 
 pub mod bytecode;
 pub mod machine;
-pub mod native;
+mod native;
 pub mod vm;
 
 pub use bytecode::{lower, CompiledProgram};
 pub use machine::{run, run_traced, Limits, RunError, RunResult, TraceEvent, Trap, Value};
-pub use native::run_native;
 pub use vm::run_compiled;
 
 /// Which execution engine to use for dynamic-count measurement.
@@ -56,9 +55,9 @@ pub enum Engine {
     /// The register-bytecode VM ([`vm::run_compiled`] over [`bytecode::lower`]).
     #[default]
     Vm,
-    /// The compiled-to-machine-code tier ([`native::run_native`] over the
-    /// `nascent-cback` compile cache). Requires a C compiler on the host
-    /// (`$CC`, falling back to `cc`).
+    /// The compiled-to-machine-code tier (a child process per run, over
+    /// the `nascent-cback` compile cache). Requires a C compiler on the
+    /// host (`$CC`, falling back to `cc`) and Linux's `/proc`.
     Native,
 }
 
@@ -88,24 +87,83 @@ impl std::str::FromStr for Engine {
     }
 }
 
-/// Run `prog` under the selected [`Engine`].
+/// A run begun by [`start_with_engine`] and collected by
+/// [`wait`](StartedRun::wait). The tree and the VM run to completion
+/// inside `start_with_engine`; a native run is a child process until
+/// `wait` reads it, and dropping it unwaited kills and reaps the child.
+#[derive(Debug)]
+pub struct StartedRun(Started);
+
+#[derive(Debug)]
+enum Started {
+    Finished(RunResult),
+    Native(nascent_cback::native::NativeRun),
+}
+
+impl StartedRun {
+    /// Whether [`wait`](Self::wait) still has a child process to collect.
+    pub fn is_pending(&self) -> bool {
+        matches!(self.0, Started::Native(_))
+    }
+
+    /// The run's result: at once for the tree and the VM, when the child
+    /// exits (or its deadline kills it) for a native run.
+    ///
+    /// # Errors
+    ///
+    /// The run's [`RunError`], for a native run everything
+    /// [`start_with_engine`] did not already report.
+    pub fn wait(self) -> Result<RunResult, RunError> {
+        match self.0 {
+            Started::Finished(r) => Ok(r),
+            Started::Native(child) => {
+                let mut sp = nascent_obs::trace::span("interp", "engine");
+                sp.attr("engine", Engine::Native.name());
+                native::finish(child)
+            }
+        }
+    }
+}
+
+/// Starts `prog` under the selected [`Engine`].
 ///
-/// Equivalent to [`run`] for [`Engine::Tree`]; for [`Engine::Vm`] the program
-/// is lowered with [`lower`] and executed with [`run_compiled`]. Callers that
-/// execute the same program many times should lower once and call
-/// [`run_compiled`] directly to amortize the lowering cost.
-/// [`Engine::Native`] amortizes automatically: the compiled binary is
-/// cached process-wide by content hash, so re-runs just exec.
+/// The tree runs [`run`]; the VM lowers the program with [`lower`] and
+/// executes it with [`run_compiled`], both to completion before this
+/// returns. [`Engine::Native`] returns as soon as the child process is
+/// spawned, so the caller can work while the binary runs; its compiled
+/// binary is cached process-wide by content hash, so re-runs just exec.
+///
+/// # Errors
+///
+/// The tree's and the VM's [`RunError`]; for a native run, a failure to
+/// emit, compile or spawn (the run's own errors come from
+/// [`StartedRun::wait`]).
+pub fn start_with_engine(
+    prog: &nascent_ir::Program,
+    limits: &Limits,
+    engine: Engine,
+) -> Result<StartedRun, RunError> {
+    let mut sp = nascent_obs::trace::span("interp", "engine");
+    sp.attr("engine", engine.name());
+    Ok(StartedRun(match engine {
+        Engine::Tree => Started::Finished(run(prog, limits)?),
+        Engine::Vm => Started::Finished(run_compiled(&lower(prog), limits)?),
+        Engine::Native => Started::Native(native::start(prog, limits)?),
+    }))
+}
+
+/// Runs `prog` under the selected [`Engine`]: [`start_with_engine`],
+/// then [`StartedRun::wait`]. Callers that execute the same program
+/// many times on the VM should lower once and call [`run_compiled`]
+/// directly to amortize the lowering cost.
+///
+/// # Errors
+///
+/// The run's [`RunError`].
 pub fn run_with_engine(
     prog: &nascent_ir::Program,
     limits: &Limits,
     engine: Engine,
 ) -> Result<RunResult, RunError> {
-    let mut sp = nascent_obs::trace::span("interp", "engine");
-    sp.attr("engine", engine.name());
-    match engine {
-        Engine::Tree => run(prog, limits),
-        Engine::Vm => run_compiled(&lower(prog), limits),
-        Engine::Native => run_native(prog, limits),
-    }
+    start_with_engine(prog, limits, engine)?.wait()
 }

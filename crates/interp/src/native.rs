@@ -8,27 +8,34 @@
 //! position), and structured runtime errors — so the conversion here is
 //! field-for-field, and the three engines are bit-comparable.
 
+use nascent_cback::native::NativeRun;
 use nascent_cback::{CRunError, CRunResult, CRuntimeError};
 use nascent_ir::Program;
 
 use crate::machine::{Limits, RunError, RunResult, Trap, Value};
 
-/// Runs `prog` on the native tier: emitted to instrumented C, compiled
+/// Starts `prog` on the native tier: emitted to instrumented C, compiled
 /// through the process-wide content-hash compile cache
-/// ([`nascent_cback::native::global`]), and executed as a child process
+/// ([`nascent_cback::native::global`]), and spawned as a child process
 /// with the limits passed in the environment.
-///
-/// # Errors
-///
+pub(crate) fn start(prog: &Program, limits: &Limits) -> Result<NativeRun, RunError> {
+    nascent_cback::native::global()
+        .start(prog, limits.max_steps, limits.max_call_depth as u64)
+        .map_err(run_error)
+}
+
+/// Collects a run [`start`] spawned.
+pub(crate) fn finish(run: NativeRun) -> Result<RunResult, RunError> {
+    run.finish().map(convert).map_err(run_error)
+}
+
 /// Program-semantics failures map onto the interpreter's own
 /// [`RunError`] variants; infrastructure failures (no C compiler,
 /// compile rejection, timeout, protocol corruption) surface as
 /// [`RunError::NativeBackend`].
-pub fn run_native(prog: &Program, limits: &Limits) -> Result<RunResult, RunError> {
-    match nascent_cback::native::global().run(prog, limits.max_steps, limits.max_call_depth as u64)
-    {
-        Ok(c) => Ok(convert(c)),
-        Err(CRunError::Runtime(e)) => Err(match e {
+fn run_error(e: CRunError) -> RunError {
+    match e {
+        CRunError::Runtime(e) => match e {
             CRuntimeError::StepLimit => RunError::StepLimit,
             CRuntimeError::CallDepth => RunError::CallDepth,
             CRuntimeError::DivisionByZero { function } => RunError::DivisionByZero { function },
@@ -48,8 +55,8 @@ pub fn run_native(prog: &Program, limits: &Limits) -> Result<RunResult, RunError
                 hi,
             },
             CRuntimeError::BadBounds { function, array } => RunError::BadBounds { function, array },
-        }),
-        Err(other) => Err(RunError::NativeBackend(other.to_string())),
+        },
+        other => RunError::NativeBackend(other.to_string()),
     }
 }
 
