@@ -26,10 +26,12 @@
 //!   path specialized by term count: [`Instr::Check1`] (one term, the
 //!   overwhelmingly common shape), [`Instr::Check2`] (two terms — every
 //!   bound check against an adjustable array extent), or
-//!   [`Instr::CheckN`]; everything else goes through [`Instr::Check`]
-//!   over a [`CompiledCheck`] with the `LinForm` walk flattened into
-//!   coefficient/register pairs and the constant part folded at
-//!   lowering time;
+//!   [`Instr::CheckN`], built straight from the check's form. A fast
+//!   check keeps only what it evaluates: the trap text is rebuilt from
+//!   its registers and coefficients when it fires. Everything else goes
+//!   through [`Instr::Check`] over a [`CompiledCheck`] with the
+//!   `LinForm` walk flattened into coefficient/register pairs and the
+//!   constant part folded at lowering time;
 //! * **jumps** — block ids become direct code offsets, with the
 //!   terminator's unit cost fused into [`Instr::Jump`]/[`Instr::Return`]
 //!   and integer comparisons fused into the branch
@@ -47,8 +49,8 @@
 use std::collections::HashMap;
 
 use nascent_ir::{
-    Arg, Atom, BinOp, Check, CheckExpr, Expr, FuncId, Function, Param, Program, Stmt, Terminator,
-    Ty, UnOp,
+    Arg, Atom, BinOp, Check, CheckExpr, Expr, FuncId, Function, LinForm, Param, Program, Stmt,
+    Term, Terminator, Ty, UnOp, VarId,
 };
 
 /// Index of a virtual register within one of a frame's typed banks.
@@ -233,8 +235,6 @@ pub struct FastCheck {
     pub base: i64,
     /// The range constant.
     pub bound: i64,
-    /// Index into `CompiledFunction::checks` for the trap display.
-    pub check: u32,
     /// Fused [`Instr::Charge`] of the *following* statement (0 = none):
     /// applied after the check completes without trapping, preserving the
     /// tree-walker's exact counter/step-limit ordering while saving a
@@ -262,8 +262,6 @@ pub struct FastCheck2 {
     pub base: i64,
     /// The range constant.
     pub bound: i64,
-    /// Index into `CompiledFunction::checks` for the trap display.
-    pub check: u32,
     /// Fused charge of the following statement (0 = none).
     pub charge: u64,
     /// The fused charge's progress flag.
@@ -281,8 +279,6 @@ pub struct FastCheckN {
     pub base: i64,
     /// The range constant.
     pub bound: i64,
-    /// Index into `CompiledFunction::checks` for the trap display.
-    pub check: u32,
     /// Fused charge of the following statement (0 = none).
     pub charge: u64,
     /// The fused charge's progress flag.
@@ -389,51 +385,76 @@ pub struct ArraySpec {
     pub dims: Vec<(Expr, Expr)>,
 }
 
-/// One function lowered to bytecode.
+/// One function lowered to bytecode. Every table is a boxed slice that
+/// holds exactly its entries: a lowered program lives as long as its
+/// run, beside the optimizer's own memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFunction {
     /// Source-level name (error/trap messages only).
     pub(crate) name: String,
     /// Formal parameters.
-    pub(crate) params: Vec<Param>,
+    pub(crate) params: Box<[Param]>,
     /// For each IR variable: its declared type and its slot in the
-    /// corresponding register bank. Used for parameter binding and for
+    /// corresponding register bank. Used for parameter binding, for
     /// the residual tree evaluations (opaque check atoms, adjustable
-    /// array bounds).
-    pub(crate) var_slots: Vec<(Ty, Reg)>,
+    /// array bounds) and to name a fast check's variables in its trap.
+    pub(crate) var_slots: Box<[(Ty, Reg)]>,
     /// Array table.
-    pub(crate) arrays: Vec<ArraySpec>,
+    pub(crate) arrays: Box<[ArraySpec]>,
     /// Initial `i64` bank: variable zeros, the integer constant pool,
     /// zeroed temporaries. Cloned (memcpy) per frame.
-    pub(crate) ireg_init: Vec<i64>,
+    pub(crate) ireg_init: Box<[i64]>,
     /// Initial `f64` bank.
-    pub(crate) freg_init: Vec<f64>,
+    pub(crate) freg_init: Box<[f64]>,
     /// The instruction stream.
-    pub(crate) code: Vec<Instr>,
+    pub(crate) code: Box<[Instr]>,
     /// Code offset of the entry block.
     pub(crate) entry: u32,
     /// Subscript register lists for the rank-≥2 load/store forms.
-    pub(crate) idx_regs: Vec<Reg>,
-    /// Compiled checks, indexed by [`Instr::Check`] (and referenced by
-    /// [`FastCheck::check`] for display).
-    pub(crate) checks: Vec<CompiledCheck>,
+    pub(crate) idx_regs: Box<[Reg]>,
+    /// Compiled checks, indexed by [`Instr::Check`]: only the checks
+    /// no fast path takes.
+    pub(crate) checks: Box<[CompiledCheck]>,
     /// Fast-path checks, indexed by [`Instr::Check1`].
-    pub(crate) fast_checks: Vec<FastCheck>,
+    pub(crate) fast_checks: Box<[FastCheck]>,
     /// Two-term fast-path checks, indexed by [`Instr::Check2`].
-    pub(crate) fast2_checks: Vec<FastCheck2>,
+    pub(crate) fast2_checks: Box<[FastCheck2]>,
     /// All-variable fast-path checks, indexed by [`Instr::CheckN`].
-    pub(crate) fastn_checks: Vec<FastCheckN>,
+    pub(crate) fastn_checks: Box<[FastCheckN]>,
     /// Compiled call sites, indexed by [`Instr::Call`].
-    pub(crate) calls: Vec<CallSpec>,
+    pub(crate) calls: Box<[CallSpec]>,
     /// Trap messages, indexed by [`Instr::Trap`].
-    pub(crate) traps: Vec<String>,
+    pub(crate) traps: Box<[String]>,
+}
+
+impl CompiledFunction {
+    /// The trap text of a fast check over `terms` (`(register,
+    /// coefficient)` in the form's canonical order), `base` and `bound`:
+    /// byte for byte the source check's `Display`, `Check (form <=
+    /// bound)`. Each register names the integer variable whose slot it
+    /// is. Runs only when a fast check fires.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn fast_check_text(&self, terms: &[(Reg, i64)], base: i64, bound: i64) -> String {
+        let var = |reg: Reg| {
+            let v = self
+                .var_slots
+                .iter()
+                .position(|&slot| slot == (Ty::Int, reg));
+            Term::var(VarId(
+                v.expect("a fast check reads integer variables") as u32
+            ))
+        };
+        let form = LinForm::from_terms(terms.iter().map(|&(reg, c)| (var(reg), c)), base);
+        format!("Check ({form} <= {bound})")
+    }
 }
 
 /// A whole program lowered to bytecode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
-    /// All functions; [`FuncId`] indexes into this vector.
-    pub(crate) functions: Vec<CompiledFunction>,
+    /// All functions; [`FuncId`] indexes into this slice.
+    pub(crate) functions: Box<[CompiledFunction]>,
     /// The entry function.
     pub(crate) main: FuncId,
 }
@@ -850,73 +871,12 @@ impl<'a> Lowerer<'a> {
                 self.push_access(*array, &regs, ety, AccessKind::Store { src });
             }
             Stmt::Check(check) => {
-                let compiled = compile_check(check, &self.var_slots);
-                let id = self.checks.len() as u32;
-                // fast paths: no guards, all terms integer variables
-                if let (true, LinCheck::Dynamic { bound, base, terms }) =
-                    (compiled.guards.is_empty(), &compiled.cond)
-                {
-                    let ivar = |t: &CompiledTerm| match t.spec {
-                        TermSpec::IVar(r) => Some((r, t.coeff)),
-                        TermSpec::Prod(_) => None,
-                    };
-                    match terms.as_slice() {
-                        [t0] => {
-                            if let Some((reg, coeff)) = ivar(t0) {
-                                let fast = self.fast_checks.len() as u32;
-                                self.fast_checks.push(FastCheck {
-                                    reg,
-                                    coeff,
-                                    base: *base,
-                                    bound: *bound,
-                                    check: id,
-                                    charge: 0,
-                                    progress: false,
-                                });
-                                self.checks.push(compiled);
-                                self.code.push(Instr::Check1 { fast });
-                                return;
-                            }
-                        }
-                        [t0, t1] => {
-                            if let (Some((r0, c0)), Some((r1, c1))) = (ivar(t0), ivar(t1)) {
-                                let fast = self.fast2_checks.len() as u32;
-                                self.fast2_checks.push(FastCheck2 {
-                                    r0,
-                                    c0,
-                                    r1,
-                                    c1,
-                                    base: *base,
-                                    bound: *bound,
-                                    check: id,
-                                    charge: 0,
-                                    progress: false,
-                                });
-                                self.checks.push(compiled);
-                                self.code.push(Instr::Check2 { fast });
-                                return;
-                            }
-                        }
-                        ts => {
-                            if let Some(pairs) = ts.iter().map(ivar).collect::<Option<Vec<_>>>() {
-                                let fast = self.fastn_checks.len() as u32;
-                                self.fastn_checks.push(FastCheckN {
-                                    terms: pairs.into_boxed_slice(),
-                                    base: *base,
-                                    bound: *bound,
-                                    check: id,
-                                    charge: 0,
-                                    progress: false,
-                                });
-                                self.checks.push(compiled);
-                                self.code.push(Instr::CheckN { fast });
-                                return;
-                            }
-                        }
-                    }
-                }
-                self.checks.push(compiled);
-                self.code.push(Instr::Check { id });
+                let instr = self.lower_fast_check(check).unwrap_or_else(|| {
+                    let id = self.checks.len() as u32;
+                    self.checks.push(compile_check(check, &self.var_slots));
+                    Instr::Check { id }
+                });
+                self.code.push(instr);
             }
             Stmt::Trap { message } => {
                 let id = self.traps.len() as u32;
@@ -954,6 +914,74 @@ impl<'a> Lowerer<'a> {
                 });
             }
         }
+    }
+
+    /// Lowers a check with no guards whose terms are all integer
+    /// variables to its fast instruction, by term count. The fast check
+    /// keeps no copy of the source check:
+    /// [`CompiledFunction::fast_check_text`] rebuilds its text from the
+    /// registers when it traps. `None` for any other shape.
+    fn lower_fast_check(&mut self, check: &Check) -> Option<Instr> {
+        let form = check.cond.form();
+        if !check.guards.is_empty() || form.is_constant() {
+            return None;
+        }
+        let slots = &self.var_slots;
+        let ivar = |(term, coeff): (&Term, i64)| match term.atoms() {
+            [Atom::Var(v)] => match slots[v.index()] {
+                (Ty::Int, reg) => Some((reg, coeff)),
+                (Ty::Real, _) => None,
+            },
+            _ => None,
+        };
+        let (base, bound) = (form.constant_part(), check.cond.bound());
+        let mut terms = form.terms();
+        Some(match form.num_terms() {
+            1 => {
+                let (reg, coeff) = ivar(terms.next()?)?;
+                self.fast_checks.push(FastCheck {
+                    reg,
+                    coeff,
+                    base,
+                    bound,
+                    charge: 0,
+                    progress: false,
+                });
+                Instr::Check1 {
+                    fast: self.fast_checks.len() as u32 - 1,
+                }
+            }
+            2 => {
+                let (r0, c0) = ivar(terms.next()?)?;
+                let (r1, c1) = ivar(terms.next()?)?;
+                self.fast2_checks.push(FastCheck2 {
+                    r0,
+                    c0,
+                    r1,
+                    c1,
+                    base,
+                    bound,
+                    charge: 0,
+                    progress: false,
+                });
+                Instr::Check2 {
+                    fast: self.fast2_checks.len() as u32 - 1,
+                }
+            }
+            _ => {
+                let terms = terms.map(ivar).collect::<Option<_>>()?;
+                self.fastn_checks.push(FastCheckN {
+                    terms,
+                    base,
+                    bound,
+                    charge: 0,
+                    progress: false,
+                });
+                Instr::CheckN {
+                    fast: self.fastn_checks.len() as u32 - 1,
+                }
+            }
+        })
     }
 
     /// Emits the element access instruction: the rank-1 forms carry the
@@ -1262,8 +1290,8 @@ fn lower_function(f: &Function) -> CompiledFunction {
 
     let cf = CompiledFunction {
         name: f.name.clone(),
-        params: f.params.clone(),
-        var_slots: lw.var_slots,
+        params: f.params.as_slice().into(),
+        var_slots: lw.var_slots.into_boxed_slice(),
         arrays: f
             .arrays
             .iter()
@@ -1273,17 +1301,17 @@ fn lower_function(f: &Function) -> CompiledFunction {
                 dims: a.dims.clone(),
             })
             .collect(),
-        ireg_init,
-        freg_init,
-        code: lw.code,
+        ireg_init: ireg_init.into_boxed_slice(),
+        freg_init: freg_init.into_boxed_slice(),
+        code: lw.code.into_boxed_slice(),
         entry: block_offsets[f.entry.index()],
-        idx_regs: lw.idx_regs,
-        checks: lw.checks,
-        fast_checks: lw.fast_checks,
-        fast2_checks: lw.fast2_checks,
-        fastn_checks: lw.fastn_checks,
-        calls: lw.calls,
-        traps: lw.traps,
+        idx_regs: lw.idx_regs.into_boxed_slice(),
+        checks: lw.checks.into_boxed_slice(),
+        fast_checks: lw.fast_checks.into_boxed_slice(),
+        fast2_checks: lw.fast2_checks.into_boxed_slice(),
+        fastn_checks: lw.fastn_checks.into_boxed_slice(),
+        calls: lw.calls.into_boxed_slice(),
+        traps: lw.traps.into_boxed_slice(),
     };
     validate(&cf);
     cf
@@ -1437,23 +1465,16 @@ pub(crate) fn validate(cf: &CompiledFunction) {
                 ar(*arr);
                 assert!((*idx as usize + *rank as usize) <= cf.idx_regs.len());
             }
-            Instr::Check1 { fast } => {
-                let fc = &cf.fast_checks[*fast as usize];
-                ir(fc.reg);
-                assert!((fc.check as usize) < cf.checks.len());
-            }
+            Instr::Check1 { fast } => ir(cf.fast_checks[*fast as usize].reg),
             Instr::Check2 { fast } => {
                 let fc = &cf.fast2_checks[*fast as usize];
                 ir(fc.r0);
                 ir(fc.r1);
-                assert!((fc.check as usize) < cf.checks.len());
             }
             Instr::CheckN { fast } => {
-                let fc = &cf.fastn_checks[*fast as usize];
-                for (r, _) in fc.terms.iter() {
+                for (r, _) in cf.fastn_checks[*fast as usize].terms.iter() {
                     ir(*r);
                 }
-                assert!((fc.check as usize) < cf.checks.len());
             }
             Instr::Check { id } => assert!((*id as usize) < cf.checks.len()),
             Instr::Call { id } => assert!((*id as usize) < cf.calls.len()),
@@ -1506,7 +1527,106 @@ mod tests {
             .count();
         assert_eq!(check1, 2); // lower + upper, both on plain `i`
         assert_eq!(f.fast_checks.len(), 2);
-        assert_eq!(f.checks.len(), 2); // display entries kept for traps
+        assert!(f.checks.is_empty(), "a fast check owns no CompiledCheck");
+    }
+
+    /// The trap text a fast check would print, `None` for a general check.
+    fn fast_text(cf: &CompiledFunction, instr: &Instr) -> Option<String> {
+        Some(match *instr {
+            Instr::Check1 { fast } => {
+                let fc = &cf.fast_checks[fast as usize];
+                cf.fast_check_text(&[(fc.reg, fc.coeff)], fc.base, fc.bound)
+            }
+            Instr::Check2 { fast } => {
+                let fc = &cf.fast2_checks[fast as usize];
+                cf.fast_check_text(&[(fc.r0, fc.c0), (fc.r1, fc.c1)], fc.base, fc.bound)
+            }
+            Instr::CheckN { fast } => {
+                let fc = &cf.fastn_checks[fast as usize];
+                cf.fast_check_text(&fc.terms, fc.base, fc.bound)
+            }
+            _ => return None,
+        })
+    }
+
+    #[test]
+    fn a_fast_checks_trap_text_is_its_source_checks_display() {
+        // a real declared first, so integer registers and variable ids
+        // differ; three-term forms with negative and non-unit
+        // coefficients; a two-term check against an adjustable extent
+        let hand = "subroutine s(x, n)
+ integer n
+ integer x(1:n)
+ integer i
+ do i = 1, n
+  x(i) = i
+ enddo
+end
+program p
+ real r
+ integer a(1:20)
+ integer b(1:4)
+ integer i, j, k
+ r = 1.5
+ i = 1
+ j = 2
+ k = 3
+ a(i + j + k) = 1
+ a(2 * i - 3 * j + k + 9) = 2
+ a(i / 2 + 1) = 3
+ call s(b, 4)
+end
+";
+        let mut progs = vec![compile(hand).unwrap()];
+        progs.extend(
+            nascent_suite::suite(nascent_suite::Scale::Small)
+                .iter()
+                .map(|b| compile(&b.source).unwrap()),
+        );
+        let mut shapes = [0usize; 4];
+        for p in &progs {
+            for (f, cf) in p.functions.iter().zip(lower(p).functions.iter()) {
+                let sources: Vec<&Check> = f
+                    .blocks
+                    .iter()
+                    .flat_map(|b| &b.stmts)
+                    .filter_map(|s| match s {
+                        Stmt::Check(c) => Some(c),
+                        _ => None,
+                    })
+                    .collect();
+                let lowered: Vec<&Instr> = cf
+                    .code
+                    .iter()
+                    .filter(|i| {
+                        matches!(
+                            i,
+                            Instr::Check1 { .. }
+                                | Instr::Check2 { .. }
+                                | Instr::CheckN { .. }
+                                | Instr::Check { .. }
+                        )
+                    })
+                    .collect();
+                assert_eq!(sources.len(), lowered.len(), "one instruction per check");
+                for (check, instr) in sources.iter().zip(lowered) {
+                    let shape = match instr {
+                        Instr::Check1 { .. } => 0,
+                        Instr::Check2 { .. } => 1,
+                        Instr::CheckN { .. } => 2,
+                        _ => 3,
+                    };
+                    shapes[shape] += 1;
+                    if let Some(text) = fast_text(cf, instr) {
+                        assert_eq!(text, check.to_string());
+                    }
+                }
+            }
+        }
+        assert!(
+            shapes.iter().all(|&n| n > 0),
+            "every shape lowered: {shapes:?}"
+        );
     }
 
     #[test]

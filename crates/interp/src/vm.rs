@@ -129,16 +129,33 @@ fn oob(f: &CompiledFunction, arr: u32, dim: usize, index: i64, lo: i64, hi: i64)
     }
 }
 
-/// Materializes a trap (strings allocated off the hot path).
+/// Materializes a trap (strings allocated off the hot path): a general
+/// check prints the source check it keeps, a fast check the text
+/// rebuilt from its fields.
 #[cold]
 #[inline(never)]
-fn make_trap(f: &CompiledFunction, check: u32, at_instruction: u64, at_progress: u64) -> Trap {
+fn make_trap(
+    f: &CompiledFunction,
+    check: Fired<'_>,
+    at_instruction: u64,
+    at_progress: u64,
+) -> Trap {
     Trap {
         function: f.name.clone(),
-        check: f.checks[check as usize].display.to_string(),
+        check: match check {
+            Fired::Check(id) => f.checks[id as usize].display.to_string(),
+            Fired::Fast(terms, base, bound) => f.fast_check_text(terms, base, bound),
+        },
         at_instruction,
         at_progress,
     }
+}
+
+/// The check a trap names: a compiled check's id, or a fast check's
+/// `(register, coefficient)` terms, base and bound.
+enum Fired<'a> {
+    Check(u32),
+    Fast(&'a [(u32, i64)], i64, i64),
 }
 
 /// Unchecked register-bank read.
@@ -268,7 +285,7 @@ impl<'a> Vm<'a> {
         // (re-run by `run_compiled`) established every index, and control
         // flow can't run off the end of `code` (blocks end in
         // terminators, which never fall through)
-        let code = f.code.as_slice();
+        let code = &*f.code;
         let mut pc = f.entry as usize;
         loop {
             debug_assert!(pc < code.len());
@@ -525,7 +542,7 @@ impl<'a> Vm<'a> {
                     if v > fc.bound {
                         return Ok(Some(make_trap(
                             f,
-                            fc.check,
+                            Fired::Fast(&[(fc.reg, fc.coeff)], fc.base, fc.bound),
                             self.instructions,
                             self.progress,
                         )));
@@ -555,7 +572,7 @@ impl<'a> Vm<'a> {
                     if v > fc.bound {
                         return Ok(Some(make_trap(
                             f,
-                            fc.check,
+                            Fired::Fast(&[(fc.r0, fc.c0), (fc.r1, fc.c1)], fc.base, fc.bound),
                             self.instructions,
                             self.progress,
                         )));
@@ -584,7 +601,7 @@ impl<'a> Vm<'a> {
                     if v > fc.bound {
                         return Ok(Some(make_trap(
                             f,
-                            fc.check,
+                            Fired::Fast(&fc.terms, fc.base, fc.bound),
                             self.instructions,
                             self.progress,
                         )));
@@ -615,7 +632,12 @@ impl<'a> Vm<'a> {
                             return Err(RunError::StepLimit);
                         }
                         if !self.eval_lincheck(&iregs, &fregs, &f.var_slots, &check.cond) {
-                            return Ok(Some(make_trap(f, id, self.instructions, self.progress)));
+                            return Ok(Some(make_trap(
+                                f,
+                                Fired::Check(id),
+                                self.instructions,
+                                self.progress,
+                            )));
                         }
                     }
                     // fused charge: the next statement runs whether the

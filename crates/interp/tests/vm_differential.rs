@@ -217,6 +217,65 @@ end
 }
 
 #[test]
+fn fast_path_traps_match_the_tree_walker() {
+    // the VM rebuilds a fast check's trap text from its registers: a
+    // two-term check against an adjustable extent (`Check2`) and
+    // three-term checks with negative and non-unit coefficients
+    // (`CheckN`) must print the tree-walker's text and trap at its point
+    let srcs = [
+        // `i <= n` against an adjustable extent, overrun at i = n + 1
+        "program p
+ integer a(1:8)
+ call s(a, 5)
+end
+subroutine s(x, n)
+ integer n
+ integer x(1:n)
+ integer i
+ do i = 1, n + 1
+  x(i) = i
+ enddo
+end
+",
+        // `i + j + k <= 10`, after some output
+        "program p
+ real r
+ integer a(1:10)
+ integer i, j, k
+ r = 2.5
+ j = 2
+ k = 3
+ do i = 1, 9
+  print i
+  a(i + j + k) = i
+ enddo
+end
+",
+        // `-2*i + 3*j - k <= -1`: the lower bound, negative first term,
+        // at the first iteration
+        "program p
+ integer a(1:10)
+ integer i, j, k
+ j = 2
+ k = 2
+ do i = 1, 5
+  a(2 * i - 3 * j + k) = i
+ enddo
+end
+",
+    ];
+    let limits = limits();
+    for (i, src) in srcs.iter().enumerate() {
+        let prog = compile(src).expect("compiles");
+        let tree = run(&prog, &limits).expect("traps, not errors");
+        let vm = run_compiled(&lower(&prog), &limits).expect("traps, not errors");
+        assert!(tree.trap.is_some(), "fast-path program {i} did not trap");
+        assert_eq!(tree.trap, vm.trap, "fast-path program {i}");
+        assert_eq!(tree, vm, "fast-path program {i}");
+    }
+}
+
+#[test]
 fn runtime_errors_are_engine_invariant() {
     let limits = limits();
     // division by zero, including one reached only at a specific iteration
