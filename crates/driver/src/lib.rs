@@ -11,8 +11,9 @@
 //! * [`compute`] — a [`Request`] `{ program, config, mode }` →
 //!   [`Outcome`] `{ stats, certificate, counters, timings }` function:
 //!   parse, start the naive run, then optimize, certify (in
-//!   [`Mode::Certify`]) and run one configuration while a native naive
-//!   binary runs beside it, and validate against the naive run;
+//!   [`Mode::Certify`]) and run one configuration while the naive run
+//!   goes on beside it (a VM run on a helper thread, a native binary
+//!   as a child process), and validate against the naive run;
 //!   [`evaluate`] is the same against a given naive run,
 //! * [`Pipeline`] — [`compute`] behind a fleet-wide result cache keyed
 //!   by content hash of (source, config, mode) ([`cache`]) that holds
@@ -146,8 +147,10 @@ pub struct StageNanos {
     /// MiniF source → IR.
     pub parse_ns: u64,
     /// Naive (unoptimized) measurement run: the time [`compute`] spent
-    /// starting it and, for a native run, collecting it — never the time
-    /// the binary ran beside the optimizer.
+    /// starting it (the VM's lowering included) and, for a VM run on a
+    /// helper thread or a native run, collecting it — never the time
+    /// the run went on beside the optimizer. A VM run that no helper
+    /// started is taken back and runs inside the collection.
     pub naive_run_ns: u64,
     /// Classic pre-pass + range-check optimizer.
     pub optimize_ns: u64,
@@ -454,11 +457,15 @@ fn validate_runs(naive: &RunResult, opt: &RunResult) -> Result<(), PipelineError
 /// naive run.
 ///
 /// The naive run starts right after parsing and is collected just before
-/// the validation. The tree and the VM finish it inside its first
-/// `naive-run` stage; a native binary runs on beside the optimizer and
-/// the optimized run, and collecting it is a second `naive-run` stage
-/// after `execute`. A naive run that fails returns its `naive run: …`
-/// error in preference to any later one.
+/// the validation. The tree finishes it inside its first `naive-run`
+/// stage. The VM lowers it there and queues it for a helper thread
+/// (`nascent_interp::start_with_engine`), and a native binary is
+/// spawned there; either runs on beside the optimizer and the optimized
+/// run, and collecting it is a second `naive-run` stage after
+/// `execute`. If no helper has started a queued VM run by then, the
+/// collection runs it. On a host with one CPU there is no helper and
+/// the VM finishes inside the first stage. A naive run that fails
+/// returns its `naive run: …` error in preference to any later one.
 ///
 /// This is the uncached single-request path; [`Pipeline::run`] adds the
 /// fleet-wide cache and request coalescing on top.
