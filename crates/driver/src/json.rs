@@ -150,7 +150,11 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -161,6 +165,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -316,12 +321,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` at once. Both
+                    // are ASCII, so the run ends on a character boundary
+                    // (as it starts on one), and `text` is already UTF-8.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -395,6 +403,87 @@ mod tests {
         assert_eq!(pair.as_str().unwrap(), "😀");
         let back = parse(&Json::Str("tab\there\n".into()).render()).unwrap();
         assert_eq!(back.as_str().unwrap(), "tab\there\n");
+    }
+
+    #[test]
+    fn multibyte_characters_beside_escapes_and_at_the_end() {
+        // é, € and 😀 are 2, 3 and 4 bytes long
+        let cases = [
+            (r#""é\n€\t😀""#, "é\n€\t😀"),
+            (r#""\"é\\€\/😀\b""#, "\"é\\€/😀\u{8}"),
+            (r#""\u00e9é\u20ac€\ud83d\ude00😀""#, "éé€€😀😀"),
+        ];
+        for (doc, expected) in cases {
+            assert_eq!(parse(doc), Ok(Json::Str(expected.into())), "{doc}");
+        }
+        for c in ["é", "€", "😀"] {
+            assert_eq!(parse(&format!("\"{c}\"")), Ok(Json::Str(c.into())));
+            assert_eq!(
+                parse(&format!("\"\\t{c}\\f\"")),
+                Ok(Json::Str(format!("\t{c}\u{c}")))
+            );
+            let key = format!("{c}\"{c}");
+            assert_eq!(
+                parse(&format!("{{\"{c}\\\"{c}\":[\"{c}\"]}}")),
+                Ok(obj(vec![(
+                    key.as_str(),
+                    Json::Arr(vec![Json::Str(c.into())])
+                )]))
+            );
+            // the document ends inside the string, on the character
+            assert_eq!(parse(&format!("\"{c}")), Err("unterminated string".into()));
+            assert_eq!(
+                parse(&format!("\"\\n{c}")),
+                Err("unterminated string".into())
+            );
+        }
+    }
+
+    #[test]
+    fn escapes_at_the_edges_of_a_copied_run() {
+        let cases = [
+            (r#""""#, ""),
+            (r#""\n""#, "\n"),
+            (r#""\nab""#, "\nab"),
+            (r#""ab\n""#, "ab\n"),
+            (r#""a\"\\b""#, "a\"\\b"),
+            (r#""\\\\""#, "\\\\"),
+            (r#""\u0041ab\u0042""#, "AabB"),
+            (r#""ab\ud83d\ude00cd""#, "ab😀cd"),
+        ];
+        for (doc, expected) in cases {
+            assert_eq!(parse(doc), Ok(Json::Str(expected.into())), "{doc}");
+        }
+        let errors = [
+            (r#""ab\x""#, "bad escape at offset 4"),
+            (r#""ab\"#, "bad escape at offset 4"),
+            (r#""ab\u12"#, "truncated \\u escape"),
+            (r#""ab\u12zz""#, "bad \\u escape"),
+            (r#""ab\ud83d""#, "truncated surrogate pair"),
+            (r#""ab\ud83dcdefgh""#, "lone high surrogate"),
+            (r#""ab\ud83d\u0041""#, "invalid low surrogate"),
+            (r#""ab"#, "unterminated string"),
+            (r#"{"ab":"cd"x}"#, "expected `,` or `}` at offset 10"),
+            (r#"["ab"]x"#, "trailing characters at offset 6"),
+        ];
+        for (doc, error) in errors {
+            assert_eq!(parse(doc), Err(error.into()), "{doc}");
+        }
+    }
+
+    #[test]
+    fn a_string_of_several_mib_parses_in_linear_time() {
+        // 64 runs of 64 KiB, each ending in multibyte characters and
+        // followed by an escape: 4 MiB in all
+        let run = format!("{}é€😀", "x".repeat((64 << 10) - 9));
+        let doc = format!("\"{}\"", format!("{run}\\n").repeat(64));
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc);
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, Ok(Json::Str(format!("{run}\n").repeat(64))));
+        // Linear, this takes milliseconds. A parser that checks the rest
+        // of the document again for each character takes minutes.
+        assert!(elapsed < std::time::Duration::from_secs(2), "{elapsed:?}");
     }
 
     #[test]
