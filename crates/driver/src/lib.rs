@@ -13,8 +13,11 @@
 //!   parse, start the naive run, then optimize, certify (in
 //!   [`Mode::Certify`]) and run one configuration while the naive run
 //!   goes on beside it (a VM run on a helper thread, a native binary
-//!   as a child process), and validate against the naive run;
-//!   [`evaluate`] is the same against a given naive run,
+//!   as a child process), and validate against the naive run; when a
+//!   helper is still running a certified request's naive VM run as the
+//!   optimizer finishes, the optimized run is queued beside the
+//!   certifier too; [`evaluate`] is the same against a given naive run,
+//!   with the optimized run always on the caller,
 //! * [`Pipeline`] — [`compute`] behind a fleet-wide result cache keyed
 //!   by content hash of (source, config, mode) ([`cache`]) that holds
 //!   at most [`cache::CAPACITY`] outcomes; concurrent identical
@@ -68,7 +71,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use nascent_frontend::compile;
-use nascent_interp::{run_with_engine, start_with_engine, Limits, RunError, RunResult};
+use nascent_interp::{run_with_engine, start_with_engine, Limits, RunError, RunResult, StartedRun};
 use nascent_ir::Program;
 use nascent_obs::memo::{Memo, Role};
 use nascent_rangecheck::{
@@ -156,8 +159,12 @@ pub struct StageNanos {
     pub optimize_ns: u64,
     /// Translation validation of the optimization run.
     pub certify_ns: u64,
-    /// Optimized measurement run. The differential validation against
-    /// the naive run follows the stages.
+    /// Optimized measurement run: the time [`compute`] spent running it
+    /// or, for a run it queued beside `certify`, starting it (the VM's
+    /// lowering included) and collecting it — like `naive_run_ns`, never
+    /// the time the run went on beside the caller. A queued run that no
+    /// helper started is taken back and runs inside the collection. The
+    /// differential validation against the naive run follows the stages.
     pub execute_ns: u64,
 }
 
@@ -341,21 +348,24 @@ pub fn optimize_and_certify(
     config: &RunConfig,
     prog: &mut Program,
 ) -> (OptimizeStats, Certificate, Timings) {
-    let (stats, cert, timings) =
-        optimize_stages(config, Mode::Certify, prog, &mut StageNanos::default());
-    (stats, cert.expect("certify mode certifies"), timings)
+    let mut stages = StageNanos::default();
+    let (stats, uncertified, timings) = optimize_stage(config, Mode::Certify, prog, &mut stages);
+    let cert = uncertified
+        .expect("certify mode keeps a reference")
+        .certify(config, prog, &mut stages);
+    (stats, cert, timings)
 }
 
-/// The `optimize` stage (classic pre-pass when configured, then the
-/// logged optimizer) and, in [`Mode::Certify`], the `certify` stage
-/// against a reference snapshot taken after the pre-pass. Each stage is
-/// an obs `stage` span whose wall time goes into `stages`.
-fn optimize_stages(
+/// The `optimize` stage: the classic pre-pass when configured, then the
+/// logged optimizer, as an obs `stage` span whose wall time goes into
+/// `stages`. In [`Mode::Certify`] it also returns what the `certify`
+/// stage needs, with the reference snapshot taken after the pre-pass.
+fn optimize_stage(
     config: &RunConfig,
     mode: Mode,
     prog: &mut Program,
     stages: &mut StageNanos,
-) -> (OptimizeStats, Option<Certificate>, Timings) {
+) -> (OptimizeStats, Option<Uncertified>, Timings) {
     let sp = nascent_obs::trace::timed_span("optimize", "stage");
     if config.classic {
         for f in &mut prog.functions {
@@ -363,16 +373,29 @@ fn optimize_stages(
         }
     }
     let reference = (mode == Mode::Certify).then(|| prog.clone());
-    let opts = config.opts();
-    let (stats, logs, timings) = optimize_with_log(prog, config, &opts);
+    let (stats, logs, timings) = optimize_with_log(prog, config, &config.opts());
     stages.optimize_ns = sp.finish().as_nanos() as u64;
-    let certificate = reference.map(|reference| {
+    let uncertified = reference.map(|reference| Uncertified { reference, logs });
+    (stats, uncertified, timings)
+}
+
+/// An optimization awaiting its `certify` stage: the program before it
+/// and the optimizer's logs.
+struct Uncertified {
+    reference: Program,
+    logs: Vec<JustLog>,
+}
+
+impl Uncertified {
+    /// The `certify` stage: validates the optimized `prog` against the
+    /// reference, as an obs `stage` span whose wall time goes into
+    /// `stages`.
+    fn certify(self, config: &RunConfig, prog: &Program, stages: &mut StageNanos) -> Certificate {
         let sp = nascent_obs::trace::timed_span("certify", "stage");
-        let cert = certify_program(&reference, prog, &logs, &opts);
+        let cert = certify_program(&self.reference, prog, &self.logs, &config.opts());
         stages.certify_ns = sp.finish().as_nanos() as u64;
         cert
-    });
-    (stats, certificate, timings)
+    }
 }
 
 /// Compiles a source, optimizes it under `opts`, and certifies the run —
@@ -464,8 +487,21 @@ fn validate_runs(naive: &RunResult, opt: &RunResult) -> Result<(), PipelineError
 /// run, and collecting it is a second `naive-run` stage after
 /// `execute`. If no helper has started a queued VM run by then, the
 /// collection runs it. On a host with one CPU there is no helper and
-/// the VM finishes inside the first stage. A naive run that fails
-/// returns its `naive run: …` error in preference to any later one.
+/// the VM finishes inside the first stage.
+///
+/// The optimized run follows `certify` on the caller, except in one
+/// case. In [`Mode::Certify`], if a helper is still running the naive
+/// VM run when the `optimize` stage ends, the optimized run is lowered
+/// and queued behind it in an `execute` stage before `certify`, and
+/// collected in a second `execute` stage after it, so a helper can run
+/// it while the certifier works. A naive run that outlasts the
+/// optimizer is one long enough to be worth the hand-off, and the
+/// caller sees that at no cost. A naive run that has finished or still
+/// waits in the queue leaves the optimized run on the caller, as do
+/// [`Mode::Optimize`], the tree and native engines and [`evaluate`].
+///
+/// A naive run that fails returns its `naive run: …` error in
+/// preference to any later one.
 ///
 /// This is the uncached single-request path; [`Pipeline::run`] adds the
 /// fleet-wide cache and request coalescing on top.
@@ -482,7 +518,7 @@ pub fn compute(req: &Request, limits: &Limits) -> Result<Outcome, PipelineError>
     let naive = start_with_engine(&naive_prog, limits, req.config.engine).map_err(naive_run)?;
     let mut naive_run_ns = sp.finish().as_nanos() as u64;
 
-    let optimized = optimize_and_run(naive_prog, &req.config, req.mode, limits);
+    let optimized = optimize_and_run(naive_prog, &req.config, req.mode, limits, Some(&naive));
 
     let collect = naive
         .is_pending()
@@ -520,7 +556,7 @@ pub fn evaluate(
     mode: Mode,
     limits: &Limits,
 ) -> Result<Outcome, PipelineError> {
-    optimize_and_run(program, config, mode, limits)?.validate(naive, config, mode)
+    optimize_and_run(program, config, mode, limits, None)?.validate(naive, config, mode)
 }
 
 /// An optimized, certified and executed configuration, awaiting the
@@ -534,19 +570,37 @@ struct Optimized {
 }
 
 /// The `optimize`, `certify` and `execute` stages of one configuration.
+///
+/// In [`Mode::Certify`], when a helper is running `naive` as the
+/// optimizer finishes, the optimized run is started in an `execute`
+/// stage before `certify` (a VM run is lowered and queued) and collected
+/// in a second one after it; otherwise it runs after `certify`.
 fn optimize_and_run(
     mut program: Program,
     config: &RunConfig,
     mode: Mode,
     limits: &Limits,
+    naive: Option<&StartedRun>,
 ) -> Result<Optimized, PipelineError> {
     let mut stages = StageNanos::default();
-    let (stats, certificate, timings) = optimize_stages(config, mode, &mut program, &mut stages);
+    let (stats, uncertified, timings) = optimize_stage(config, mode, &mut program, &mut stages);
+
+    let beside_certify = uncertified.is_some() && naive.is_some_and(StartedRun::is_running);
+    let started = beside_certify.then(|| {
+        let sp = nascent_obs::trace::timed_span("execute", "stage");
+        let started = start_with_engine(&program, limits, config.engine);
+        stages.execute_ns = sp.finish().as_nanos() as u64;
+        started
+    });
+    let certificate = uncertified.map(|u| u.certify(config, &program, &mut stages));
 
     let sp = nascent_obs::trace::timed_span("execute", "stage");
-    let run = run_with_engine(&program, limits, config.engine)
-        .map_err(|e| PipelineError::Run(format!("optimized run: {e}")))?;
-    stages.execute_ns = sp.finish().as_nanos() as u64;
+    let run = match started {
+        Some(started) => started.and_then(StartedRun::wait),
+        None => run_with_engine(&program, limits, config.engine),
+    }
+    .map_err(|e| PipelineError::Run(format!("optimized run: {e}")))?;
+    stages.execute_ns += sp.finish().as_nanos() as u64;
     Ok(Optimized {
         stats,
         certificate,
