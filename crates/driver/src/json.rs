@@ -149,16 +149,11 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
 
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser {
-        text,
-        bytes,
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing characters at offset {}", p.pos));
     }
     Ok(v)
@@ -166,19 +161,18 @@ pub fn parse(text: &str) -> Result<Json, String> {
 
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -191,7 +185,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -286,7 +280,8 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
@@ -295,7 +290,8 @@ impl<'a> Parser<'a> {
                             // surrogate pairs
                             if (0xd800..0xdc00).contains(&code) {
                                 let rest = self
-                                    .bytes
+                                    .text
+                                    .as_bytes()
                                     .get(self.pos + 5..self.pos + 11)
                                     .ok_or("truncated surrogate pair")?;
                                 if &rest[..2] != b"\\u" {
@@ -324,10 +320,10 @@ impl<'a> Parser<'a> {
                     // Copy the run up to the next `"` or `\` at once. Both
                     // are ASCII, so the run ends on a character boundary
                     // (as it starts on one), and `text` is already UTF-8.
-                    let end = self.bytes[self.pos..]
+                    let end = self.text.as_bytes()[self.pos..]
                         .iter()
                         .position(|&b| b == b'"' || b == b'\\')
-                        .map_or(self.bytes.len(), |n| self.pos + n);
+                        .map_or(self.text.len(), |n| self.pos + n);
                     out.push_str(&self.text[self.pos..end]);
                     self.pos = end;
                 }
@@ -361,8 +357,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
+        let text = &self.text[start..self.pos];
         if float {
             text.parse::<f64>()
                 .map(Json::Num)
