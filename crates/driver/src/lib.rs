@@ -13,11 +13,11 @@
 //!   parse, start the naive run, then optimize, certify (in
 //!   [`Mode::Certify`]) and run one configuration while the naive run
 //!   goes on beside it (a VM run on a helper thread, a native binary
-//!   as a child process), and validate against the naive run; when a
-//!   helper is still running a certified request's naive VM run as the
-//!   optimizer finishes, the optimized run is queued beside the
-//!   certifier too; [`evaluate`] is the same against a given naive run,
-//!   with the optimized run always on the caller,
+//!   as a child process), and validate against the naive run; a
+//!   certified request whose naive VM run was queued for a helper
+//!   queues its optimized run too, before `certify`, so a free helper
+//!   can run it beside the certifier; [`evaluate`] is the same against
+//!   a given naive run, with the optimized run always on the caller,
 //! * [`Pipeline`] — [`compute`] behind a fleet-wide result cache keyed
 //!   by content hash of (source, config, mode) ([`cache`]) that holds
 //!   at most [`cache::CAPACITY`] outcomes; concurrent identical
@@ -71,7 +71,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use nascent_frontend::compile;
-use nascent_interp::{run_with_engine, start_with_engine, Limits, RunError, RunResult, StartedRun};
+use nascent_interp::{
+    run_with_engine, start_with_engine, Engine, Limits, RunError, RunResult, StartedRun,
+};
 use nascent_ir::Program;
 use nascent_obs::memo::{Memo, Role};
 use nascent_rangecheck::{
@@ -490,15 +492,13 @@ fn validate_runs(naive: &RunResult, opt: &RunResult) -> Result<(), PipelineError
 /// the VM finishes inside the first stage.
 ///
 /// The optimized run follows `certify` on the caller, except in one
-/// case. In [`Mode::Certify`], if a helper is still running the naive
-/// VM run when the `optimize` stage ends, the optimized run is lowered
-/// and queued behind it in an `execute` stage before `certify`, and
-/// collected in a second `execute` stage after it, so a helper can run
-/// it while the certifier works. A naive run that outlasts the
-/// optimizer is one long enough to be worth the hand-off, and the
-/// caller sees that at no cost. A naive run that has finished or still
-/// waits in the queue leaves the optimized run on the caller, as do
-/// [`Mode::Optimize`], the tree and native engines and [`evaluate`].
+/// case. In [`Mode::Certify`], when the naive VM run was queued, the
+/// optimized run is lowered and queued too, in an `execute` stage
+/// before `certify`, and collected in a second `execute` stage after
+/// it, so a free helper can run it while the certifier works; if no
+/// helper has started it by then, the collection runs it.
+/// [`Mode::Optimize`], the tree and native engines, a host with one CPU
+/// and [`evaluate`] keep the optimized run on the caller.
 ///
 /// A naive run that fails returns its `naive run: …` error in
 /// preference to any later one.
@@ -571,10 +571,10 @@ struct Optimized {
 
 /// The `optimize`, `certify` and `execute` stages of one configuration.
 ///
-/// In [`Mode::Certify`], when a helper is running `naive` as the
-/// optimizer finishes, the optimized run is started in an `execute`
-/// stage before `certify` (a VM run is lowered and queued) and collected
-/// in a second one after it; otherwise it runs after `certify`.
+/// In [`Mode::Certify`], when `naive` is a queued VM run, the optimized
+/// run is lowered and queued in an `execute` stage before `certify` and
+/// collected in a second one after it; otherwise it runs after
+/// `certify`.
 fn optimize_and_run(
     mut program: Program,
     config: &RunConfig,
@@ -585,7 +585,9 @@ fn optimize_and_run(
     let mut stages = StageNanos::default();
     let (stats, uncertified, timings) = optimize_stage(config, mode, &mut program, &mut stages);
 
-    let beside_certify = uncertified.is_some() && naive.is_some_and(StartedRun::is_running);
+    let beside_certify = uncertified.is_some()
+        && config.engine == Engine::Vm
+        && naive.is_some_and(StartedRun::is_pending);
     let started = beside_certify.then(|| {
         let sp = nascent_obs::trace::timed_span("execute", "stage");
         let started = start_with_engine(&program, limits, config.engine);

@@ -114,14 +114,6 @@ impl StartedRun {
         !matches!(self.0, Started::Finished(_))
     }
 
-    /// Whether a helper thread is running this queued VM run right now,
-    /// read under the job's lock: false for a finished run, a native
-    /// run, a queued run that no helper has started and one a helper
-    /// has finished.
-    pub fn is_running(&self) -> bool {
-        matches!(&self.0, Started::Queued(job) if job.is_running())
-    }
-
     /// The run's result: at once for the tree and an inline VM run; for
     /// a queued VM run, run here if no helper has started it (the run is
     /// taken back), else when the helper finishes it; for a native run,
@@ -163,16 +155,15 @@ fn engine_span(engine: Engine) -> nascent_obs::trace::Span {
 /// lowers the program with [`lower`] here and queues its run of
 /// [`run_compiled`] for the process-wide helper pool: one thread per
 /// CPU but one, started on first use. [`StartedRun::wait`] takes the
-/// run back if no helper has started it, and
-/// [`StartedRun::is_running`] says whether one is running it now. A
-/// host with one CPU has no helper, and its VM runs inline.
-/// [`Engine::Native`] returns as soon as the child process is spawned,
-/// so the caller can work while the binary runs; its compiled binary is
-/// cached process-wide by content hash, so re-runs just exec.
+/// run back if no helper has started it. A host with one CPU has no
+/// helper, and its VM runs inline. [`Engine::Native`] returns as soon as
+/// the child process is spawned, so the caller can work while the
+/// binary runs; its compiled binary is cached process-wide by content
+/// hash, so re-runs just exec.
 ///
-/// The driver's `compute` starts every naive run here. It starts a
-/// certified request's optimized run here too, before certifying, when
-/// a helper is still running the naive run as the optimizer finishes.
+/// The driver's `compute` starts every naive run here, and a certified
+/// request's optimized VM run too, before certifying it, whenever the
+/// naive run was queued.
 ///
 /// # Errors
 ///
@@ -343,11 +334,6 @@ impl QueuedRun {
         Ok(QueuedRun(job))
     }
 
-    /// Whether a helper is running the job now.
-    fn is_running(&self) -> bool {
-        matches!(*lock(&self.0.state), JobState::Running)
-    }
-
     /// Runs the job here if no helper has started it, else waits for
     /// the helper's result and resumes its panic.
     fn wait(self) -> Result<RunResult, RunError> {
@@ -397,7 +383,7 @@ mod tests {
     /// Every helper running a job that waits at `gate` until released.
     struct Held {
         gate: Arc<Barrier>,
-        jobs: Vec<StartedRun>,
+        jobs: Vec<QueuedRun>,
     }
 
     impl Held {
@@ -408,11 +394,11 @@ mod tests {
             let jobs = (0..helpers())
                 .map(|_| {
                     let gate = Arc::clone(&gate);
-                    StartedRun(Started::Queued(push(move || {
+                    push(move || {
                         gate.wait(); // running
                         gate.wait(); // released
                         Err(RunError::StepLimit)
-                    })))
+                    })
                 })
                 .collect();
             gate.wait();
@@ -531,30 +517,5 @@ mod tests {
         assert_eq!(queued(), usize::from(helpers() > 0));
         assert_eq!(started.wait(), expected);
         held.release();
-    }
-
-    #[test]
-    fn a_run_is_running_only_while_a_helper_runs_it() {
-        let _serial = lock(&HOLDING);
-        let prog = &small_suite()[0];
-        let limits = Limits::default();
-        let finished_run = start_with_engine(prog, &limits, Engine::Tree).expect("starts");
-        assert!(!finished_run.is_running());
-        if helpers() == 0 {
-            let inline = start_with_engine(prog, &limits, Engine::Vm).expect("starts");
-            assert!(!inline.is_pending() && !inline.is_running());
-            return;
-        }
-        let held = Held::all();
-        assert!(held.jobs.iter().all(StartedRun::is_running));
-        // queued behind the held jobs: no helper has started it
-        let started = start_with_engine(prog, &limits, Engine::Vm).expect("starts");
-        assert!(!started.is_running());
-        held.release();
-        if let Started::Queued(job) = &started.0 {
-            finished(job);
-        }
-        assert!(!started.is_running());
-        assert_eq!(started.wait(), run_compiled(&lower(prog), &limits));
     }
 }
